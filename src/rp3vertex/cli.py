@@ -76,11 +76,15 @@ def cmd_compute(args, parser):
 
 def cmd_expand(args, parser):
     _check_ceilings(args, parser)
+    if args.q_order < 0:
+        parser.error(f"q-order must be nonnegative, got {args.q_order}")
     spec = _spec_from_args(args)
     try:
         r, s = (int(x) for x in args.coeff.split(","))
     except ValueError:
         parser.error(f"--coeff must look like 'r,s', got {args.coeff!r}")
+    if r < 0 or s < 0:
+        parser.error(f"coefficient ({r},{s}) has a negative index")
     if r + s > spec.cutoff:
         parser.error(f"coefficient ({r},{s}) beyond cutoff {spec.cutoff}")
     series = open_amplitude(spec)

@@ -6,7 +6,9 @@ Exponents are stored doubled so every exponent is an integer.  Rational
 functions never run a polynomial gcd: the denominator is kept as a multiset
 of normalized factors (each with constant term 1 after content stripping),
 sums take factor-wise least common multiples, and equality is decided by
-cross multiplication.
+cross multiplication.  A sum applies each LCM factor its terms miss once
+per group of terms that need it equally often, to their partial sum, not
+to every term's numerator on its own.
 """
 
 from fractions import Fraction
@@ -26,6 +28,14 @@ class Laurent:
         clean = {e: c for e, c in terms.items() if c} if terms else {}
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _of(terms):
+        """Wrap a dict the caller guarantees holds no zero coefficient."""
+        p = object.__new__(Laurent)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Laurent is immutable")
@@ -82,14 +92,17 @@ class Laurent:
             other = Laurent.const(other)
         if isinstance(other, RationalFunction):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
             v = out.get(e, 0) + c
             if v:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return Laurent(out)
+        return Laurent._of(out)
 
     __radd__ = __add__
 
@@ -117,6 +130,20 @@ class Laurent:
         if len(a) == 1:
             (eq, et), c = next(iter(a.items()))
             return Laurent({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
+        if len(a) == 2 and a.get((0, 0)) == 1:
+            # 1 - m, the shape of every denominator factor sums lift by:
+            # b minus b shifted by m, with no coefficient products
+            (mq, mt), c = next(kv for kv in a.items() if kv[0] != (0, 0))
+            if c == -1:
+                out = dict(b)
+                for (bq, bt), cb in b.items():
+                    e = (bq + mq, bt + mt)
+                    v = out.get(e, 0) - cb
+                    if v:
+                        out[e] = v
+                    else:
+                        del out[e]
+                return Laurent._of(out)
         out = {}
         for (aq, at), ca in a.items():
             for (bq, bt), cb in b.items():
@@ -273,7 +300,40 @@ def _normalize_factor(poly):
 
 
 def _factor_sort_key(f):
-    return tuple(sorted((e, Fraction(c)) for e, c in f.terms.items()))
+    return tuple(sorted(f.terms.items()))
+
+
+def _lift_sum(items, factors, i):
+    """Sum of num * prod(factors[j] ** need[j] for j >= i) over (num, need)
+    items.  Items are grouped by their need of the first factor some of them
+    need, each group is lifted by the factors after it, and the groups are
+    combined in Horner form, so that factor multiplies partial sums, not
+    numerators one by one.  Recursion depth is at most len(factors) + 1."""
+    while i < len(factors):
+        groups = {}
+        for item in items:
+            groups.setdefault(item[1][i], []).append(item)
+        if len(groups) > 1 or 0 not in groups:
+            break
+        i += 1
+    else:
+        if len(items) == 1:
+            return items[0][0]
+        out = {}
+        for num, _need in items:
+            for e, c in num.terms.items():
+                out[e] = out.get(e, 0) + c
+        return Laurent(out)
+    f = factors[i]
+    acc = L_ZERO
+    for k in range(max(groups), -1, -1):
+        if acc:
+            acc = acc * f
+        part = groups.get(k)
+        if part is not None:
+            part = _lift_sum(part, factors, i + 1)
+            acc = acc + part if acc else part
+    return acc
 
 
 class RationalFunction:
@@ -436,7 +496,11 @@ class RationalFunction:
 
     @staticmethod
     def sum_of(values):
-        """n-ary sum over a shared factor-wise LCM denominator."""
+        """n-ary sum over a shared factor-wise LCM denominator.
+
+        Each value is missing some LCM factors; those are applied factor by
+        factor (most-needed first), each once per group of values that need
+        it equally often, rather than once per value."""
         values = [rf for rf in map(RationalFunction.of, values) if not rf.is_zero()]
         if not values:
             return RF_ZERO
@@ -447,15 +511,15 @@ class RationalFunction:
             for f, m in v.factors:
                 if lcm.get(f, 0) < m:
                     lcm[f] = m
-        total = L_ZERO
+        facs = list(lcm)
+        rows = []
         for v in values:
             have = dict(v.factors)
-            num = v.num
-            for f, m in lcm.items():
-                need = m - have.get(f, 0)
-                if need:
-                    num = num * f ** need
-            total = total + num
+            rows.append((v.num, [lcm[f] - have.get(f, 0) for f in facs]))
+        users = [sum(1 for _num, need in rows if need[j]) for j in range(len(facs))]
+        order = sorted(range(len(facs)), key=lambda j: -users[j])
+        items = [(num, [need[j] for j in order]) for num, need in rows]
+        total = _lift_sum(items, [facs[j] for j in order], 0)
         return RationalFunction._make(total, lcm)
 
     # -- comparisons -------------------------------------------------------

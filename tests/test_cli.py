@@ -71,6 +71,9 @@ def test_usage_errors(capsys):
         ["compute", "--cutoff", "9"],
         ["expand", "--alpha", "[1]", "--coeff", "bogus"],
         ["expand", "--alpha", "[1]", "--coeff", "5,0", "--cutoff", "3"],
+        ["expand", "--alpha", "[1]", "--coeff=-1,0"],
+        ["expand", "--alpha", "[1]", "--coeff=2,-1"],
+        ["expand", "--alpha", "[1]", "--coeff", "1,0", "--q-order", "-3"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

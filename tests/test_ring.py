@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rp3vertex.ring import (ExpansionError, KahlerSeries, Laurent, QSeries,
                             RationalFunction, expand, rf_arith, rf_equal,
@@ -113,6 +115,122 @@ def test_rf_sum_of_matches_pairwise():
         for v in vals:
             total = total + v
         assert rf_equal(RationalFunction.sum_of(vals), total)
+
+
+# -- exactness of the sum_of lifting and the 1 - m product kernel ------------
+
+def reference_sum_of(values):
+    """sum_of's former lifting loop, kept as the oracle: each value's numerator
+    is multiplied by every LCM factor power it misses, one value at a time."""
+    values = [rf for rf in map(RationalFunction.of, values) if not rf.is_zero()]
+    if not values:
+        return zero
+    if len(values) == 1:
+        return values[0]
+    lcm = {}
+    for v in values:
+        for f, m in v.factors:
+            if lcm.get(f, 0) < m:
+                lcm[f] = m
+    total = Laurent()
+    for v in values:
+        have = dict(v.factors)
+        num = v.num
+        for f, m in lcm.items():
+            need = m - have.get(f, 0)
+            if need:
+                num = num * f ** need
+        total = total + num
+    return RationalFunction._make(total, lcm)
+
+
+def general_product(a, b):
+    """Laurent product by the plain double loop over both operands' terms."""
+    out = {}
+    for (aq, at), ca in a.terms.items():
+        for (bq, bt), cb in b.terms.items():
+            e = (aq + bq, at + bt)
+            out[e] = out.get(e, 0) + ca * cb
+    return Laurent(out)
+
+
+COEFFS = st.one_of(st.integers(-6, 6),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=5))
+EXPONENTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+LAURENTS = st.dictionaries(EXPONENTS, COEFFS, max_size=6).map(Laurent)
+
+# denominators the compute paths build (1 - q^a t^b, half-integer and mixed-sign
+# exponents included) and shapes they never build, which take the general loop
+FACTOR_POLYS = [Laurent({(0, 0): 1, e: -1})
+                for e in [(2, 0), (0, 2), (2, 2), (4, 0), (1, 1), (2, -2), (6, 4)]]
+FACTOR_POLYS += [Laurent({(0, 0): 1, (2, 0): 1}),
+                 Laurent({(0, 0): 1, (2, 0): -2}),
+                 Laurent({(0, 0): 1, (2, 0): 1, (0, 2): 1}),
+                 Laurent({(2, 0): Fraction(3, 2), (4, 2): -3})]
+
+
+@st.composite
+def rf_values(draw):
+    num = draw(LAURENTS)
+    rf = RationalFunction(num)
+    for poly in draw(st.lists(st.sampled_from(FACTOR_POLYS), max_size=4)):
+        rf = rf / RationalFunction(poly)
+    return rf
+
+
+@st.composite
+def rf_value_lists(draw):
+    values = draw(st.lists(rf_values(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        # full cancellation, or cancellation of a part of the sum
+        values += [-v for v in draw(st.sampled_from([values, values[:1]]))]
+        values = draw(st.permutations(values))
+    return values
+
+
+@settings(deadline=None, max_examples=200)
+@given(rf_value_lists())
+def test_sum_of_same_representation_as_reference(values):
+    got = RationalFunction.sum_of(values)
+    want = reference_sum_of(values)
+    assert got.num.terms == want.num.terms
+    assert got.factors == want.factors
+    assert all(got.num.terms.values())
+
+
+def test_sum_of_many_distinct_factors():
+    # one value per factor, each missing all others: the lifting recurses
+    # through all 36 factors (refined cutoff 7 [1,1]x[1] has 35)
+    values = [RationalFunction(Laurent.monomial(0, k),
+                               Laurent({(0, 0): 1, (k + 1, 0): -1}))
+              for k in range(36)]
+    got = RationalFunction.sum_of(values)
+    want = reference_sum_of(values)
+    assert got.num.terms == want.num.terms and got.factors == want.factors
+
+
+@st.composite
+def telescoping(draw):
+    """(p, m) where p holds a run c, c*m, c*m^2, ... so p * (1 - m) cancels
+    all but the ends of that run."""
+    p = draw(LAURENTS)
+    m = draw(EXPONENTS.filter(lambda e: e != (0, 0)))
+    c = draw(COEFFS.filter(bool))
+    run = Laurent({(k * m[0], k * m[1]): c for k in range(draw(st.integers(0, 5)))})
+    return p + run, m
+
+
+@settings(deadline=None, max_examples=200)
+@given(telescoping())
+def test_one_minus_monomial_product_matches_general(pm):
+    p, m = pm
+    binomial = Laurent({(0, 0): 1, m: -1})
+    want = general_product(p, binomial)
+    for got in (p * binomial, binomial * p):
+        assert got == want
+        assert got.terms == want.terms
+        assert all(got.terms.values())
+    assert (Laurent() * binomial).is_zero()
 
 
 def test_substitute_t_eq_q_examples():
