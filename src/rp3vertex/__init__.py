@@ -3,34 +3,28 @@ Hopf links on the square toric geometry, with the one-parameter refinement.
 """
 
 from .partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
-                         partitions_of, statistics)
+                         partitions_of)
 from .ring import (ExpansionError, KahlerSeries, Laurent, QSeries,
-                   RationalFunction, expand, rf_arith, rf_equal,
-                   series_divide, series_multiply, substitute_t_eq_q)
+                   RationalFunction, expand, rf_equal, series_divide,
+                   substitute_t_eq_q)
 from .specialize import (Alphabet, complete_homogeneous, macdonald_p_at_rho,
-                         macdonald_tilde_z, principal, schur_tableau_oracle,
-                         skew_schur)
-from .vertex import (framing_refined, framing_refined_pair, framing_regular,
-                     vertex_refined, vertex_regular)
+                         macdonald_tilde_z, principal, skew_schur)
+from .vertex import framing_refined, framing_regular
 from .amplitude import (AmplitudeSpec, closed_amplitude, normalize,
-                        normalized_amplitude, open_amplitude,
-                        open_amplitude_refined, open_amplitude_regular,
-                        resolved_conifold_amplitude)
+                        normalized_amplitude, open_amplitude)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EMPTY", "Partition", "enumerate_up_to", "parse_partition",
-    "partitions_of", "statistics",
+    "partitions_of",
     "ExpansionError", "KahlerSeries", "Laurent", "QSeries",
-    "RationalFunction", "expand", "rf_arith", "rf_equal", "series_divide",
-    "series_multiply", "substitute_t_eq_q",
+    "RationalFunction", "expand", "rf_equal", "series_divide",
+    "substitute_t_eq_q",
     "Alphabet", "complete_homogeneous", "macdonald_p_at_rho",
-    "macdonald_tilde_z", "principal", "schur_tableau_oracle", "skew_schur",
-    "framing_refined", "framing_refined_pair", "framing_regular",
-    "vertex_refined", "vertex_regular",
+    "macdonald_tilde_z", "principal", "skew_schur",
+    "framing_refined", "framing_regular",
     "AmplitudeSpec", "closed_amplitude", "normalize", "normalized_amplitude",
-    "open_amplitude", "open_amplitude_refined", "open_amplitude_regular",
-    "resolved_conifold_amplitude",
+    "open_amplitude",
     "__version__",
 ]

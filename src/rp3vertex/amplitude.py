@@ -8,9 +8,12 @@ Conventions fixed here and validated against the display fixtures:
   the n-box column color [1]*n evaluates to the length-n-row diagram
   internally.
 * Each trivalent building block enters as the displayed product (the
-  coupled inner sum collapsed to its leading term); the full-sum vertex of
-  the vertex module is a strictly different assembly that does not
-  reproduce the display fixtures.
+  coupled inner sum collapsed to its leading term).
+* There is one table of refined blocks.  The one-parameter mode is the
+  refinement at t = q, taken leaf by leaf before any product: monomials,
+  alphabets, hook products and framings are specialized (and cached) one
+  at a time, because refined numerators are 10-30x larger than the
+  specialized ones and would make specializing after gluing slow.
 * Every amplitude is normalized by the overall color monomial so that the
   degree-(0,0) coefficient is the product of the principal Schur values of
   the two colors.  Relative monomial bookkeeping between bidegrees is
@@ -30,14 +33,13 @@ GEOMETRIES = ("local_p1xp1", "resolved_conifold")
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """What to compute: geometry, brane colors, refinement, truncations."""
+    """What to compute: geometry, brane colors, refinement, truncation."""
 
     geometry: str = "local_p1xp1"
     alpha: Partition = EMPTY
     gamma: Partition = EMPTY
     refined: bool = False
     cutoff: int = 3
-    q_order: int = 20
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
@@ -46,98 +48,83 @@ class AmplitudeSpec:
             raise ValueError("cutoff must be nonnegative")
 
 
-def _mono(eq, et, sign=1):
-    return RationalFunction.monomial(eq, et, sign)
+# -- leaves: the refined value, or its value at t = q -----------------------
+
+def _mono(eq, et, refined):
+    """q^(eq/2) t^(et/2)."""
+    if not refined:
+        eq, et = eq + et, 0
+    return RationalFunction.monomial(eq, et)
+
+
+def _schur(lam, main, shift, shift_var, refined):
+    """s_lam at main^(-rho) shift_var^(-shift)."""
+    if not refined:
+        main = shift_var = "q"
+    return skew_schur(lam, EMPTY, principal(main, shift, shift_var))
 
 
 @cache
-def _srho(nu):
-    return skew_schur(nu, EMPTY, principal("q"))
+def _tilde_z(nu, first, refined):
+    z = macdonald_tilde_z(nu, first)
+    return z if refined else z.substitute_t_eq_q()
 
-
-# -- regular building blocks (displayed products) --------------------------
 
 @cache
-def _c_brane_reg(lam, alpha, nu1):
+def _p_at_rho(nu, refined):
+    p = macdonald_p_at_rho(nu, swap=True)
+    return p if refined else p.substitute_t_eq_q()
+
+
+def _framing(nu, order, refined):
+    """Both parameter orders give framing_regular at t = q."""
+    return framing_refined(nu, order) if refined else framing_regular(nu)
+
+
+# -- trivalent building blocks (displayed products) -------------------------
+
+@cache
+def _c_brane(lam, alpha, nu1, refined):
     """First vertex on the alpha side: internal fiber leg lam, color alpha."""
-    nu1t = nu1.conjugate()
-    return (_mono(alpha.kappa, 0) * _srho(nu1t)
-            * skew_schur(lam, EMPTY, principal("q", nu1))
-            * skew_schur(alpha, EMPTY, principal("q", nu1t)))
+    e = alpha.norm_sq + nu1.norm_sq + lam.size - alpha.size
+    return (_mono(e, -e + alpha.kappa + nu1.norm_sq, refined)
+            * _tilde_z(nu1, "t", refined)
+            * _schur(lam, "t", nu1, "q", refined)
+            * _schur(alpha, "q", nu1.conjugate(), "t", refined))
 
 
 @cache
-def _c_plain_reg(lam, nu2):
-    return (_mono(lam.kappa, 0) * _srho(nu2)
-            * skew_schur(lam, EMPTY, principal("q", nu2)))
+def _c_plain(lam, nu2, refined):
+    nu2t = nu2.conjugate()
+    e = lam.norm_sq + nu2t.norm_sq - lam.size
+    return (_mono(e, -e + lam.kappa + nu2t.norm_sq, refined)
+            * _tilde_z(nu2t, "t", refined)
+            * _schur(lam, "q", nu2, "t", refined))
 
 
 @cache
-def _c_brane_reg_g(gamma, beta, nu1):
+def _c_brane_g(gamma, beta, nu1, refined):
     """First vertex on the gamma side; the color sits at the conjugate shift."""
     nu1t = nu1.conjugate()
-    return (_mono(beta.kappa, 0) * _srho(nu1)
-            * skew_schur(gamma, EMPTY, principal("q", nu1t))
-            * skew_schur(beta, EMPTY, principal("q", nu1)))
+    e = beta.norm_sq + nu1t.norm_sq + gamma.size - beta.size
+    return (_mono(-e + beta.kappa, e, refined)
+            * _p_at_rho(nu1t, refined)
+            * _schur(gamma, "q", nu1t, "t", refined)
+            * _schur(beta, "t", nu1, "q", refined))
 
 
 @cache
-def _c_plain_reg_g(beta, nu2):
-    return (_srho(nu2.conjugate())
-            * skew_schur(beta, EMPTY, principal("q", nu2)))
-
-
-# -- refined building blocks ------------------------------------------------
-
-@cache
-def _c_brane_ref(lam, alpha, nu1):
-    nu1t = nu1.conjugate()
-    e = alpha.norm_sq + nu1.norm_sq
-    w = lam.size - alpha.size
-    return (_mono(e, -e + alpha.kappa + nu1.norm_sq)
-            * macdonald_tilde_z(nu1, "t")
-            * _mono(w, -w)
-            * skew_schur(lam, EMPTY, principal("t", nu1, "q"))
-            * skew_schur(alpha, EMPTY, principal("q", nu1t, "t")))
-
-
-@cache
-def _c_plain_ref(lam, nu2):
-    nu2t = nu2.conjugate()
-    e = lam.norm_sq + nu2t.norm_sq
-    return (_mono(e, -e + lam.kappa + nu2t.norm_sq)
-            * macdonald_tilde_z(nu2t, "t")
-            * _mono(-lam.size, lam.size)
-            * skew_schur(lam, EMPTY, principal("q", nu2, "t")))
-
-
-@cache
-def _c_brane_ref_g(gamma, beta, nu1):
-    nu1t = nu1.conjugate()
-    e = beta.norm_sq + nu1t.norm_sq
-    w = gamma.size - beta.size
-    return (_mono(-e + beta.kappa, e)
-            * macdonald_p_at_rho(nu1t, swap=True)
-            * _mono(-w, w)
-            * skew_schur(gamma, EMPTY, principal("q", nu1t, "t"))
-            * skew_schur(beta, EMPTY, principal("t", nu1, "q")))
-
-
-@cache
-def _c_plain_ref_g(beta, nu2):
-    e = nu2.norm_sq
-    return (_mono(-e, e) * macdonald_p_at_rho(nu2, swap=True)
-            * _mono(-beta.size, beta.size)
-            * skew_schur(beta, EMPTY, principal("q", nu2, "t")))
+def _c_plain_g(beta, nu2, refined):
+    e = nu2.norm_sq + beta.size
+    return (_mono(-e, e, refined) * _p_at_rho(nu2, refined)
+            * _schur(beta, "q", nu2, "t", refined))
 
 
 def _color_monomial(alpha, gamma, refined):
     """Overall monomial the assembly attaches to the colors; divided out so
     the leading coefficient is s_alpha(q^-rho) s_gamma(q^-rho)."""
-    if not refined:
-        return _mono(alpha.kappa + gamma.kappa, 0)
     e = alpha.norm_sq - alpha.size
-    return _mono(e - gamma.size, -e + alpha.kappa + gamma.size)
+    return _mono(e - gamma.size, -e + alpha.kappa + gamma.size, refined)
 
 
 def _open_local(alpha, gamma, refined, cutoff):
@@ -148,40 +135,23 @@ def _open_local(alpha, gamma, refined, cutoff):
             r = nu1.size + nu2.size
             if r > cutoff:
                 continue
-            if refined:
-                edge = (framing_refined(nu1, ("t", "q"))
-                        * framing_refined(nu2, ("q", "t")))
-            else:
-                edge = framing_regular(nu1) * framing_regular(nu2)
-            base = _mono(0, 0, (-1) ** r) * edge
+            base = ((-1) ** r * _framing(nu1, ("t", "q"), refined)
+                    * _framing(nu2, ("q", "t"), refined))
             aside, gside = {}, {}
             for lam in parts:
                 if lam.size + r > cutoff:
                     continue
-                if refined:
-                    tA = (_c_brane_ref(lam, alpha, nu1)
-                          * framing_refined(lam, ("t", "q"))
-                          * _c_plain_ref(lam, nu2))
-                else:
-                    tA = (_c_brane_reg(lam, alpha, nu1)
-                          * framing_regular(lam)
-                          * _c_plain_reg(lam, nu2))
-                tA = tA * _mono(0, 0, (-1) ** lam.size)
-                aside.setdefault(lam.size, []).append(tA)
+                tA = (_c_brane(lam, alpha, nu1, refined)
+                      * _framing(lam, ("t", "q"), refined)
+                      * _c_plain(lam, nu2, refined))
+                aside.setdefault(lam.size, []).append(tA * (-1) ** lam.size)
             for beta in parts:
                 if beta.size + r > cutoff:
                     continue
-                if refined:
-                    tG = (_c_brane_ref_g(gamma, beta, nu1)
-                          * framing_refined(beta, ("q", "t"))
-                          * _c_plain_ref_g(beta, nu2))
-                else:
-                    tG = (_c_brane_reg_g(gamma, beta, nu1)
-                          * framing_regular(beta)
-                          * _c_plain_reg_g(beta, nu2)
-                          * _mono(gamma.kappa, 0))
-                tG = tG * _mono(0, 0, (-1) ** beta.size)
-                gside.setdefault(beta.size, []).append(tG)
+                tG = (_c_brane_g(gamma, beta, nu1, refined)
+                      * _framing(beta, ("q", "t"), refined)
+                      * _c_plain_g(beta, nu2, refined))
+                gside.setdefault(beta.size, []).append(tG * (-1) ** beta.size)
             asums = {s: RationalFunction.sum_of(v) for s, v in aside.items()}
             gsums = {s: RationalFunction.sum_of(v) for s, v in gside.items()}
             for s1, av in asums.items():
@@ -201,31 +171,19 @@ def _conifold(alpha, gamma, refined, cutoff):
     for n in range(cutoff + 1):
         for nu in partitions_of(n):
             nut = nu.conjugate()
-            if refined:
-                eA = alpha.norm_sq + nu.norm_sq
-                a_side = (_mono(eA, -eA + alpha.kappa + nu.norm_sq)
-                          * macdonald_tilde_z(nu, "t")
-                          * _mono(-alpha.size, alpha.size)
-                          * skew_schur(alpha, EMPTY, principal("q", nut, "t")))
-                eG = gamma.norm_sq + nut.norm_sq
-                g_side = (_mono(-eG + gamma.kappa + nut.norm_sq, eG)
-                          * macdonald_tilde_z(nut, "q")
-                          * _mono(-gamma.size, gamma.size)
-                          * skew_schur(gamma, EMPTY, principal("t", nut, "q")))
-            else:
-                a_side = (_mono(alpha.kappa, 0) * _srho(nut)
-                          * skew_schur(alpha, EMPTY, principal("q", nut)))
-                g_side = (_mono(gamma.kappa, 0) * _srho(nu)
-                          * skew_schur(gamma, EMPTY, principal("q", nut)))
-            term = _mono(0, 0, (-1) ** n) * a_side * g_side
-            terms.setdefault((n, 0), []).append(term)
-    if refined:
-        eA = alpha.norm_sq - alpha.size
-        eG = gamma.norm_sq - gamma.size
-        m = _mono(eA - eG + gamma.kappa, -eA + alpha.kappa + eG)
-    else:
-        m = _mono(alpha.kappa + gamma.kappa, 0)
-    strip = RationalFunction.one() / m
+            eA = alpha.norm_sq + nu.norm_sq - alpha.size
+            a_side = (_mono(eA, -eA + alpha.kappa + nu.norm_sq, refined)
+                      * _tilde_z(nu, "t", refined)
+                      * _schur(alpha, "q", nut, "t", refined))
+            eG = gamma.norm_sq + nut.norm_sq + gamma.size
+            g_side = (_mono(-eG + gamma.kappa + nut.norm_sq, eG, refined)
+                      * _tilde_z(nut, "q", refined)
+                      * _schur(gamma, "t", nut, "q", refined))
+            terms.setdefault((n, 0), []).append((-1) ** n * a_side * g_side)
+    eA = alpha.norm_sq - alpha.size
+    eG = gamma.norm_sq - gamma.size
+    strip = RationalFunction.one() / _mono(eA - eG + gamma.kappa,
+                                           -eA + alpha.kappa + eG, refined)
     coeffs = {rs: RationalFunction.sum_of(v) * strip for rs, v in terms.items()}
     determined = {(r, 0) for r in range(cutoff + 1)}
     return KahlerSeries(cutoff, {k: v for k, v in coeffs.items() if not v.is_zero()},
@@ -240,18 +198,6 @@ def open_amplitude(spec):
     if spec.geometry == "resolved_conifold":
         return _conifold(alpha, gamma, spec.refined, spec.cutoff)
     return _open_local(alpha, gamma, spec.refined, spec.cutoff)
-
-
-def open_amplitude_regular(spec):
-    if spec.refined:
-        raise ValueError("spec.refined must be False for the regular amplitude")
-    return open_amplitude(spec)
-
-
-def open_amplitude_refined(spec):
-    if not spec.refined:
-        raise ValueError("spec.refined must be True for the refined amplitude")
-    return open_amplitude(spec)
 
 
 def closed_amplitude(refined, cutoff, geometry="local_p1xp1"):
@@ -270,9 +216,3 @@ def normalized_amplitude(spec):
     same geometry and refinement."""
     return normalize(open_amplitude(spec),
                      closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
-
-
-def resolved_conifold_amplitude(alpha, gamma, refined, cutoff):
-    spec = AmplitudeSpec(geometry="resolved_conifold", alpha=alpha, gamma=gamma,
-                         refined=refined, cutoff=cutoff)
-    return open_amplitude(spec)

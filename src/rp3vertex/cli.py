@@ -9,8 +9,9 @@ verdict.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .amplitude import AmplitudeSpec, closed_amplitude, normalize, open_amplitude
+from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .analysis import SuiteRunner, summary_table
 from .partitions import parse_partition
 from .ring import ExpansionError, expand, rf_equal
@@ -37,35 +38,39 @@ def _spec_from_args(args):
     gamma = parse_partition(args.gamma)
     geometry = args.geometry.replace("-", "_")
     return AmplitudeSpec(geometry=geometry, alpha=alpha, gamma=gamma,
-                         refined=args.refined, cutoff=args.cutoff,
-                         q_order=getattr(args, "q_order", 20))
+                         refined=args.refined, cutoff=args.cutoff)
 
 
-def _check_ceilings(args, parser):
+def _series(spec, raw):
+    """(series, normalized): the normalized invariant, or the open amplitude
+    itself with --raw or without colors."""
+    if raw or not (spec.alpha or spec.gamma):
+        return open_amplitude(spec), False
+    return normalized_amplitude(spec), True
+
+
+def _check_cutoff(args, parser):
     if args.cutoff > args.max_cutoff:
         parser.error(f"cutoff {args.cutoff} above ceiling {args.max_cutoff} "
                      f"(raise with --max-cutoff)")
-    q_order = getattr(args, "q_order", None)
-    if q_order is not None and q_order > args.max_q_order:
-        parser.error(f"q-order {q_order} above ceiling {args.max_q_order} "
-                     f"(raise with --max-q-order)")
+
+
+def _check_q_order(args, parser):
+    if args.q_order < 0:
+        parser.error(f"q-order must be nonnegative, got {args.q_order}")
 
 
 def cmd_compute(args, parser):
-    _check_ceilings(args, parser)
+    _check_cutoff(args, parser)
     spec = _spec_from_args(args)
-    series = open_amplitude(spec)
-    normalized = not args.raw and (spec.alpha or spec.gamma)
-    if normalized:
-        series = normalize(series, closed_amplitude(spec.refined, spec.cutoff,
-                                                    spec.geometry))
+    series, normalized = _series(spec, args.raw)
     if args.output == "json":
         doc = {
             "command": "compute",
             "geometry": spec.geometry,
             "alpha": str(spec.alpha), "gamma": str(spec.gamma),
             "refined": spec.refined, "cutoff": spec.cutoff,
-            "normalized": bool(normalized),
+            "normalized": normalized,
             "series": series.to_json(),
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
@@ -75,9 +80,11 @@ def cmd_compute(args, parser):
 
 
 def cmd_expand(args, parser):
-    _check_ceilings(args, parser)
-    if args.q_order < 0:
-        parser.error(f"q-order must be nonnegative, got {args.q_order}")
+    _check_cutoff(args, parser)
+    if args.q_order > args.max_q_order:
+        parser.error(f"q-order {args.q_order} above ceiling {args.max_q_order} "
+                     f"(raise with --max-q-order)")
+    _check_q_order(args, parser)
     spec = _spec_from_args(args)
     try:
         r, s = (int(x) for x in args.coeff.split(","))
@@ -87,11 +94,7 @@ def cmd_expand(args, parser):
         parser.error(f"coefficient ({r},{s}) has a negative index")
     if r + s > spec.cutoff:
         parser.error(f"coefficient ({r},{s}) beyond cutoff {spec.cutoff}")
-    series = open_amplitude(spec)
-    if not args.raw and (spec.alpha or spec.gamma):
-        series = normalize(series, closed_amplitude(spec.refined, spec.cutoff,
-                                                    spec.geometry))
-    rf = series.coeff(r, s)
+    rf = _series(spec, args.raw)[0].coeff(r, s)
     try:
         ser = expand(rf, args.q_order)
     except ExpansionError as err:
@@ -109,6 +112,7 @@ def cmd_expand(args, parser):
 
 
 def cmd_check(args, parser):
+    _check_q_order(args, parser)
     runner = SuiteRunner(fixtures_dir=args.fixtures_dir,
                          q_order=min(args.q_order, args.max_q_order),
                          deep_cutoff=min(4, args.max_cutoff))
@@ -126,20 +130,11 @@ def cmd_check(args, parser):
 
 
 def cmd_compare(args, parser):
-    _check_ceilings(args, parser)
+    _check_cutoff(args, parser)
+    spec = _spec_from_args(args)
     if args.mode == "reduction":
-        spec_r = _spec_from_args(args)
-        regular = open_amplitude(AmplitudeSpec(
-            geometry=spec_r.geometry, alpha=spec_r.alpha, gamma=spec_r.gamma,
-            refined=False, cutoff=spec_r.cutoff))
-        refined = open_amplitude(AmplitudeSpec(
-            geometry=spec_r.geometry, alpha=spec_r.alpha, gamma=spec_r.gamma,
-            refined=True, cutoff=spec_r.cutoff))
-        if not args.raw and (spec_r.alpha or spec_r.gamma):
-            regular = normalize(regular, closed_amplitude(False, spec_r.cutoff,
-                                                          spec_r.geometry))
-            refined = normalize(refined, closed_amplitude(True, spec_r.cutoff,
-                                                          spec_r.geometry))
+        regular = _series(replace(spec, refined=False), args.raw)[0]
+        refined = _series(replace(spec, refined=True), args.raw)[0]
         reduced = refined.substitute_t_eq_q()
         lines = []
         for rs in sorted(regular.determined, key=lambda rs: (rs[0] + rs[1], rs)):
@@ -154,17 +149,14 @@ def cmd_compare(args, parser):
         return 0
 
     # geometries: the square graph against the single-edge one
-    local_spec = AmplitudeSpec(alpha=parse_partition(args.alpha),
-                               gamma=parse_partition(args.gamma),
-                               refined=args.refined, cutoff=args.cutoff)
-    local = normalize(open_amplitude(local_spec),
-                      closed_amplitude(args.refined, args.cutoff))
-    con_spec = AmplitudeSpec(geometry="resolved_conifold",
-                             alpha=local_spec.alpha, gamma=local_spec.gamma,
-                             refined=args.refined, cutoff=args.cutoff)
-    con = normalize(open_amplitude(con_spec),
-                    closed_amplitude(args.refined, args.cutoff,
-                                     "resolved_conifold"))
+    if args.geometry != "local-p1xp1":
+        parser.error("--mode geometries compares both geometries; "
+                     "--geometry does not apply")
+    if args.raw:
+        parser.error("--mode geometries compares normalized series; "
+                     "--raw does not apply")
+    local = normalized_amplitude(spec)
+    con = normalized_amplitude(replace(spec, geometry="resolved_conifold"))
     lines = []
     for r in range(args.cutoff + 1):
         a = local.coeffs.get((r, 0))
@@ -193,7 +185,7 @@ def build_parser():
                     "toric geometry, with fixture and conjecture checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, q_order_default=20):
+    def common(p):
         p.add_argument("--geometry", default="local-p1xp1",
                        choices=["local-p1xp1", "resolved-conifold"])
         p.add_argument("--alpha", default="[]",
@@ -203,20 +195,20 @@ def build_parser():
                        help="two-parameter mode")
         p.add_argument("--cutoff", type=int, default=3,
                        help="total degree cutoff in the gluing weights")
-        p.add_argument("--q-order", dest="q_order", type=int,
-                       default=q_order_default)
         p.add_argument("--raw", action="store_true",
                        help="skip the closed-string normalization")
-        p.add_argument("--output", choices=["json", "text"], default="text")
         p.add_argument("--max-cutoff", type=int, default=DEFAULT_CUTOFF_CEILING)
-        p.add_argument("--max-q-order", type=int, default=DEFAULT_QORDER_CEILING)
 
     p = sub.add_parser("compute", help="emit one amplitude series")
     common(p)
+    p.add_argument("--output", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("expand", help="q-expand one coefficient")
     common(p)
+    p.add_argument("--output", choices=["json", "text"], default="text")
+    p.add_argument("--q-order", dest="q_order", type=int, default=20)
+    p.add_argument("--max-q-order", type=int, default=DEFAULT_QORDER_CEILING)
     p.add_argument("--coeff", required=True, metavar="r,s",
                    help="bidegree to expand")
     p.set_defaults(func=cmd_expand)

@@ -91,23 +91,8 @@ class Partition:
         """Cells strictly below (i, j) in its column (the transposed arm)."""
         return sum(1 for p in self.parts[i:] if p >= j)
 
-    def hook(self, i, j):
-        return self.arm(i, j) + self.leg(i, j) + 1
-
-    def cell_stats(self):
-        """Map cell -> (arm, leg, hook) over the whole diagram."""
-        return {
-            (i, j): (self.arm(i, j), self.leg(i, j), self.hook(i, j))
-            for (i, j) in self.cells()
-        }
-
 
 EMPTY = Partition()
-
-
-def statistics(nu):
-    """Bundle of {size, norm_sq, kappa} for a partition."""
-    return {"size": nu.size, "norm_sq": nu.norm_sq, "kappa": nu.kappa}
 
 
 @cache
@@ -135,47 +120,6 @@ def enumerate_up_to(n):
     out = []
     for k in range(n + 1):
         out.extend(partitions_of(k))
-    return out
-
-
-def count_partitions(n):
-    """p(n) by Euler's pentagonal-number recurrence (independent of the enumerator)."""
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        k, total = 1, 0
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p[m] = total
-    return p[n]
-
-
-def subpartitions_within(*bounds):
-    """All eta contained in every bound partition (for skew/vertex inner sums)."""
-    if not bounds:
-        return [EMPTY]
-    cap = [min(b.part(i) for b in bounds) for i in range(1, min(len(b) for b in bounds) + 1)]
-    while cap and cap[-1] == 0:
-        cap.pop()
-    out = []
-
-    # depth-first over row lengths, each row bounded by cap and the row above
-    def walk(row, prev, prefix):
-        out.append(Partition(prefix))
-        if row >= len(cap):
-            return
-        for p in range(1, min(cap[row], prev) + 1):
-            walk(row + 1, p, prefix + (p,))
-
-    walk(0, 10 ** 9, ())
     return out
 
 

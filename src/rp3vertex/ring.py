@@ -626,19 +626,6 @@ RF_ZERO = RationalFunction(L_ZERO)
 RF_ONE = RationalFunction(L_ONE)
 
 
-def rf_arith(a, b, op):
-    """Field arithmetic dispatch; op is one of add, sub, mul, div."""
-    ops = {
-        "add": lambda: a + b,
-        "sub": lambda: a - b,
-        "mul": lambda: a * b,
-        "div": lambda: a / b,
-    }
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    return ops[op]()
-
-
 def rf_equal(a, b):
     """Cross-multiplied equality of two rational functions."""
     return RationalFunction.of(a) == RationalFunction.of(b)
@@ -672,22 +659,6 @@ class QSeries:
 
     def coeff(self, qe_doubled):
         return dict(self.coeffs.get(qe_doubled, {}))
-
-    def residual_equal(self, other, through=None):
-        """Exact equality of residual coefficients through a doubled order."""
-        bound = min(self.order, other.order)
-        if through is not None:
-            bound = min(bound, through)
-        for qe in range(0, bound + 1):
-            if self.coeffs.get(qe, {}) != other.coeffs.get(qe, {}):
-                return False
-        return True
-
-    def is_nonnegative_integral(self):
-        """True when the series value has nonnegative integer coefficients:
-        residual entries nonnegative integers and the extracted scalar a
-        positive integer."""
-        return self.first_violation() is None
 
     def first_violation(self):
         """(qe, te, coeff) of the first non-positive-integral coefficient; the
@@ -1000,14 +971,6 @@ class KahlerSeries:
                     return rs
         return None
 
-    def evaluate_at_monomials(self, qb, qf):
-        """Substitute monomial rational functions for the two weights and sum;
-        the generic specialization hook."""
-        qb = RationalFunction.of(qb)
-        qf = RationalFunction.of(qf)
-        terms = [c * qb ** r * qf ** s for (r, s), c in self.coeffs.items()]
-        return RationalFunction.sum_of(terms)
-
     def to_json(self):
         entries = []
         for rs in sorted(self.determined, key=lambda rs: (rs[0] + rs[1], rs)):
@@ -1035,29 +998,6 @@ def _splits(rs):
     for a in range(r + 1):
         for b in range(s + 1):
             yield (a, b), (r - a, s - b)
-
-
-def series_multiply(a, b):
-    """Product of two bidegree series over a shared cutoff; a bidegree of the
-    product is determined only when every contributing split is."""
-    if a.cutoff != b.cutoff:
-        raise ValueError("mismatched cutoffs")
-    out = {}
-    determined = set()
-    for d in range(a.cutoff + 1):
-        for r in range(d + 1):
-            rs = (r, d - r)
-            if all(u in a.determined and v in b.determined
-                   for u, v in _splits(rs)):
-                determined.add(rs)
-            terms = []
-            for (r1, s1), c1 in a.coeffs.items():
-                r2, s2 = rs[0] - r1, rs[1] - s1
-                if r2 >= 0 and s2 >= 0 and (r2, s2) in b.coeffs:
-                    terms.append(c1 * b.coeffs[(r2, s2)])
-            if terms and rs in determined:
-                out[rs] = RationalFunction.sum_of(terms)
-    return KahlerSeries(a.cutoff, out, determined)
 
 
 def series_divide(num, den):

@@ -7,8 +7,7 @@ every complete homogeneous value an exact rational function.
 """
 
 from .partitions import EMPTY
-from .ring import (Laurent, QSeries, RationalFunction, RF_ONE, RF_ZERO,
-                   canonical_series)
+from .ring import Laurent, RationalFunction, RF_ONE, RF_ZERO
 
 
 class Alphabet:
@@ -180,108 +179,6 @@ def _bits(mask):
             yield j
         mask >>= 1
         j += 1
-
-
-class OracleTruncationError(ValueError):
-    """The truncated alphabet cannot certify the requested order."""
-
-
-def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
-    """Brute-force skew Schur series: sum over semistandard tableaux with
-    entries in a truncated alphabet, as a series in the alphabet's tail
-    variable to the given order.
-
-    Only a verification oracle; independent of the determinant path.
-    """
-    if not lam.contains(eta):
-        return QSeries(Laurent.const(1), {}, 2 * order, alphabet.main_var)
-    ncells = lam.size - eta.size
-    if ncells == 0:
-        return QSeries(Laurent.const(1), {0: {0: 1}}, 2 * order, alphabet.main_var)
-
-    main_q = alphabet.main_var == "q"
-
-    def main_exp(e):
-        return e[0] if main_q else e[1]
-
-    # smallest possible single-cell contribution, in doubled units
-    probe = [alphabet.letter(i) for i in range(1, len(alphabet.prefix) + 2)]
-    min_e = min(main_exp(e) for e in probe)
-
-    # weight of the greedy column-strict filling: an upper bound on the
-    # minimal tableau weight, so series orders are counted from there
-    prev = {}
-    greedy = 0
-    for i in range(1, len(lam) + 1):
-        left = 1
-        nxt = {}
-        for j in range(eta.part(i) + 1, lam.part(i) + 1):
-            letter = max(left, prev.get(j, 0) + 1)
-            greedy += main_exp(alphabet.letter(letter))
-            nxt[j] = letter
-            left = letter
-        prev = nxt
-    bound = greedy + 2 * order
-
-    def enough(count):
-        nxt_e = main_exp(alphabet.letter(count + 1))
-        return nxt_e + (ncells - 1) * min_e > bound
-
-    if letters is None:
-        letters = max(len(alphabet.prefix) + 1, 1)
-        while not enough(letters):
-            letters += 1
-    elif not enough(letters):
-        raise OracleTruncationError(
-            f"{letters} letters cannot certify order {order}; more letters needed")
-
-    letter_exps = [alphabet.letter(i) for i in range(1, letters + 1)]
-    nrows = len(lam)
-    slices = {}
-
-    def fill(row, prev_row_entries, acc_q, acc_t):
-        if row == nrows:
-            m, o = (acc_q, acc_t) if main_q else (acc_t, acc_q)
-            slices.setdefault(m, {})
-            slices[m][o] = slices[m].get(o, 0) + 1
-            return
-        lo, hi = eta.part(row + 1), lam.part(row + 1)
-        width = hi - lo
-
-        def fill_row(col, min_letter, entries, acc_q2, acc_t2):
-            if col == width:
-                fill(row + 1, entries, acc_q2, acc_t2)
-                return
-            j = lo + col + 1  # absolute column index
-            floor = min_letter
-            above = prev_row_entries.get(j)
-            if above is not None:
-                floor = max(floor, above + 1)
-            for letter in range(floor, letters + 1):
-                eq, et = letter_exps[letter - 1]
-                nq, nt = acc_q2 + eq, acc_t2 + et
-                me = nq if main_q else nt
-                if me + (ncells_left(row, col) - 1) * min_e > bound:
-                    if letter > len(alphabet.prefix):
-                        break  # tail letters only grow from here on
-                    continue
-                fill_row(col + 1, letter, {**entries, j: letter}, nq, nt)
-
-        if width == 0:
-            fill(row + 1, {}, acc_q, acc_t)
-        else:
-            fill_row(0, 1, {}, acc_q, acc_t)
-
-    def ncells_left(row, col):
-        done = sum(lam.part(i) - eta.part(i) for i in range(1, row + 1)) + col
-        return ncells - done
-
-    fill(0, {}, 0, 0)
-    series = canonical_series(slices, 2 * order, alphabet.main_var)
-    if alphabet.main_var == "t":
-        series = QSeries(series.prefactor.swap_qt(), series.coeffs,
-                         series.order, "t")
-    return series
 
 
 def macdonald_tilde_z(nu, first="t"):

@@ -1,79 +1,9 @@
-"""Topological vertex amplitudes for partition triples: the one-parameter
-rational-function vertex, its two-parameter refinement, and edge framing
-factors.
-
-The inner sum runs over diagrams contained in both coupled legs; skew
-vanishing makes wider ranges harmless, so the containment bound is purely
-an optimization.
-"""
+"""Edge framing factors of the gluing: the refined edge weight in either
+parameter order, and the one-parameter weight as its value at t = q."""
 
 from functools import cache
 
-from .partitions import EMPTY, subpartitions_within
 from .ring import RationalFunction
-from .specialize import (macdonald_p_at_rho, principal, skew_schur)
-
-
-def _mono(eq, et, sign=1):
-    return RationalFunction.monomial(eq, et, sign)
-
-
-@cache
-def vertex_regular(lam, mu, nu):
-    """C(lam, mu, nu) in the single parameter: kappa weight, a principal
-    Schur prefactor, and the coupled skew sum over the first two legs."""
-    lam_t = lam.conjugate()
-    nu_t = nu.conjugate()
-    prefactor = _mono(mu.kappa, 0) * skew_schur(nu_t, EMPTY, principal("q"))
-    a_nu = principal("q", nu)
-    a_nut = principal("q", nu_t)
-    inner = RationalFunction.sum_of(
-        skew_schur(lam_t, eta, a_nu) * skew_schur(mu, eta, a_nut)
-        for eta in subpartitions_within(lam_t, mu))
-    return prefactor * inner
-
-
-@cache
-def framing_regular(nu):
-    """Edge weight (-1)^|nu| q^(-kappa(nu)/2)."""
-    return _mono(-nu.kappa, 0, (-1) ** nu.size)
-
-
-@cache
-def vertex_refined(lam, mu, nu, order=("t", "q")):
-    """The two-parameter refinement; order ("q", "t") swaps the parameters
-    uniformly throughout."""
-    if order == ("t", "q"):
-        swap = False
-    elif order == ("q", "t"):
-        swap = True
-    else:
-        raise ValueError(f"order must be ('t','q') or ('q','t'), got {order!r}")
-
-    lam_t = lam.conjugate()
-    nu_t = nu.conjugate()
-
-    def m(eq, et, sign=1):
-        return _mono(et, eq, sign) if swap else _mono(eq, et, sign)
-
-    # (q/t)^{(|mu|^2+|nu|^2)/2} t^{kappa(mu)/2} P_{nu^t}(t^-rho; q, t)
-    e = mu.norm_sq + nu.norm_sq
-    prefactor = m(e, -e + mu.kappa) * macdonald_p_at_rho(nu, swap=swap)
-
-    if swap:
-        a_first = principal("q", nu, "t")      # q^-rho t^-nu
-        a_second = principal("t", nu_t, "q")   # t^-rho q^-nu^t
-    else:
-        a_first = principal("t", nu, "q")      # t^-rho q^-nu
-        a_second = principal("q", nu_t, "t")   # q^-rho t^-nu^t
-
-    terms = []
-    for eta in subpartitions_within(lam_t, mu):
-        w = eta.size + lam.size - mu.size
-        terms.append(m(w, -w)
-                     * skew_schur(lam_t, eta, a_first)
-                     * skew_schur(mu, eta, a_second))
-    return prefactor * RationalFunction.sum_of(terms)
 
 
 @cache
@@ -81,14 +11,16 @@ def framing_refined(nu, order=("t", "q")):
     """Refined edge weight (-1)^|nu| (t/q)^{(|nu^t|^2-|nu|)/2} q^{-kappa/2},
     with the two parameters exchanged for order ("q", "t")."""
     e = nu.conjugate().norm_sq - nu.size
+    sign = (-1) ** nu.size
     if order == ("t", "q"):
-        return _mono(-e - nu.kappa, e, (-1) ** nu.size)
+        return RationalFunction.monomial(-e - nu.kappa, e, sign)
     if order == ("q", "t"):
-        return _mono(e, -e - nu.kappa, (-1) ** nu.size)
+        return RationalFunction.monomial(e, -e - nu.kappa, sign)
     raise ValueError(f"order must be ('t','q') or ('q','t'), got {order!r}")
 
 
-def framing_refined_pair(nu1, nu2):
-    """Product of the two glued-edge refined framings, one in each parameter
-    ordering."""
-    return framing_refined(nu1, ("t", "q")) * framing_refined(nu2, ("q", "t"))
+@cache
+def framing_regular(nu):
+    """Edge weight (-1)^|nu| q^(-kappa(nu)/2): the refined one at t = q, which
+    is the same for both parameter orders."""
+    return framing_refined(nu).substitute_t_eq_q()

@@ -1,0 +1,199 @@
+"""Reference implementations the tests check the program against.
+
+Each one is independent of the code path it checks: a brute-force tableau
+sum for the Jacobi-Trudi skew Schur values, Euler's recurrence for the
+partition enumerator, a series product for the series division, and cell
+statistics recounted from arms and legs.
+"""
+
+from rp3vertex.partitions import EMPTY, Partition
+from rp3vertex.ring import (KahlerSeries, Laurent, QSeries, RationalFunction,
+                            _splits, canonical_series)
+
+
+def hook(nu, i, j):
+    return nu.arm(i, j) + nu.leg(i, j) + 1
+
+
+def cell_stats(nu):
+    """Map cell -> (arm, leg, hook) over the whole diagram."""
+    return {(i, j): (nu.arm(i, j), nu.leg(i, j), hook(nu, i, j))
+            for (i, j) in nu.cells()}
+
+
+def count_partitions(n):
+    """p(n) by Euler's pentagonal-number recurrence (independent of the enumerator)."""
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        k, total = 1, 0
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > m and g2 > m:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            if g1 <= m:
+                total += sign * p[m - g1]
+            if g2 <= m:
+                total += sign * p[m - g2]
+            k += 1
+        p[m] = total
+    return p[n]
+
+
+def subpartitions_within(*bounds):
+    """All eta contained in every bound partition."""
+    if not bounds:
+        return [EMPTY]
+    cap = [min(b.part(i) for b in bounds) for i in range(1, min(len(b) for b in bounds) + 1)]
+    while cap and cap[-1] == 0:
+        cap.pop()
+    out = []
+
+    # depth-first over row lengths, each row bounded by cap and the row above
+    def walk(row, prev, prefix):
+        out.append(Partition(prefix))
+        if row >= len(cap):
+            return
+        for p in range(1, min(cap[row], prev) + 1):
+            walk(row + 1, p, prefix + (p,))
+
+    walk(0, 10 ** 9, ())
+    return out
+
+
+def residual_equal(a, b, through=None):
+    """Exact equality of two QSeries' residual coefficients through a
+    doubled order."""
+    bound = min(a.order, b.order)
+    if through is not None:
+        bound = min(bound, through)
+    for qe in range(0, bound + 1):
+        if a.coeffs.get(qe, {}) != b.coeffs.get(qe, {}):
+            return False
+    return True
+
+
+def series_multiply(a, b):
+    """Product of two bidegree series over a shared cutoff; a bidegree of the
+    product is determined only when every contributing split is."""
+    if a.cutoff != b.cutoff:
+        raise ValueError("mismatched cutoffs")
+    out = {}
+    determined = set()
+    for d in range(a.cutoff + 1):
+        for r in range(d + 1):
+            rs = (r, d - r)
+            if all(u in a.determined and v in b.determined
+                   for u, v in _splits(rs)):
+                determined.add(rs)
+            terms = []
+            for (r1, s1), c1 in a.coeffs.items():
+                r2, s2 = rs[0] - r1, rs[1] - s1
+                if r2 >= 0 and s2 >= 0 and (r2, s2) in b.coeffs:
+                    terms.append(c1 * b.coeffs[(r2, s2)])
+            if terms and rs in determined:
+                out[rs] = RationalFunction.sum_of(terms)
+    return KahlerSeries(a.cutoff, out, determined)
+
+
+class OracleTruncationError(ValueError):
+    """The truncated alphabet cannot certify the requested order."""
+
+
+def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
+    """Brute-force skew Schur series: sum over semistandard tableaux with
+    entries in a truncated alphabet, as a series in the alphabet's tail
+    variable to the given order.
+
+    Only a verification oracle; independent of the determinant path.
+    """
+    if not lam.contains(eta):
+        return QSeries(Laurent.const(1), {}, 2 * order, alphabet.main_var)
+    ncells = lam.size - eta.size
+    if ncells == 0:
+        return QSeries(Laurent.const(1), {0: {0: 1}}, 2 * order, alphabet.main_var)
+
+    main_q = alphabet.main_var == "q"
+
+    def main_exp(e):
+        return e[0] if main_q else e[1]
+
+    # smallest possible single-cell contribution, in doubled units
+    probe = [alphabet.letter(i) for i in range(1, len(alphabet.prefix) + 2)]
+    min_e = min(main_exp(e) for e in probe)
+
+    # weight of the greedy column-strict filling: an upper bound on the
+    # minimal tableau weight, so series orders are counted from there
+    prev = {}
+    greedy = 0
+    for i in range(1, len(lam) + 1):
+        left = 1
+        nxt = {}
+        for j in range(eta.part(i) + 1, lam.part(i) + 1):
+            letter = max(left, prev.get(j, 0) + 1)
+            greedy += main_exp(alphabet.letter(letter))
+            nxt[j] = letter
+            left = letter
+        prev = nxt
+    bound = greedy + 2 * order
+
+    def enough(count):
+        nxt_e = main_exp(alphabet.letter(count + 1))
+        return nxt_e + (ncells - 1) * min_e > bound
+
+    if letters is None:
+        letters = max(len(alphabet.prefix) + 1, 1)
+        while not enough(letters):
+            letters += 1
+    elif not enough(letters):
+        raise OracleTruncationError(
+            f"{letters} letters cannot certify order {order}; more letters needed")
+
+    letter_exps = [alphabet.letter(i) for i in range(1, letters + 1)]
+    nrows = len(lam)
+    slices = {}
+
+    def fill(row, prev_row_entries, acc_q, acc_t):
+        if row == nrows:
+            m, o = (acc_q, acc_t) if main_q else (acc_t, acc_q)
+            slices.setdefault(m, {})
+            slices[m][o] = slices[m].get(o, 0) + 1
+            return
+        lo, hi = eta.part(row + 1), lam.part(row + 1)
+        width = hi - lo
+
+        def fill_row(col, min_letter, entries, acc_q2, acc_t2):
+            if col == width:
+                fill(row + 1, entries, acc_q2, acc_t2)
+                return
+            j = lo + col + 1  # absolute column index
+            floor = min_letter
+            above = prev_row_entries.get(j)
+            if above is not None:
+                floor = max(floor, above + 1)
+            for letter in range(floor, letters + 1):
+                eq, et = letter_exps[letter - 1]
+                nq, nt = acc_q2 + eq, acc_t2 + et
+                me = nq if main_q else nt
+                if me + (ncells_left(row, col) - 1) * min_e > bound:
+                    if letter > len(alphabet.prefix):
+                        break  # tail letters only grow from here on
+                    continue
+                fill_row(col + 1, letter, {**entries, j: letter}, nq, nt)
+
+        if width == 0:
+            fill(row + 1, {}, acc_q, acc_t)
+        else:
+            fill_row(0, 1, {}, acc_q, acc_t)
+
+    def ncells_left(row, col):
+        done = sum(lam.part(i) - eta.part(i) for i in range(1, row + 1)) + col
+        return ncells - done
+
+    fill(0, {}, 0, 0)
+    series = canonical_series(slices, 2 * order, alphabet.main_var)
+    if alphabet.main_var == "t":
+        series = QSeries(series.prefactor.swap_qt(), series.coeffs,
+                         series.order, "t")
+    return series

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +76,13 @@ def test_usage_errors(capsys):
         ["expand", "--alpha", "[1]", "--coeff=-1,0"],
         ["expand", "--alpha", "[1]", "--coeff=2,-1"],
         ["expand", "--alpha", "[1]", "--coeff", "1,0", "--q-order", "-3"],
+        ["check", "--suite", "positivity:*", "--q-order", "-3"],
+        ["compute", "--q-order", "5"],
+        ["compute", "--max-q-order", "30"],
+        ["compare", "--q-order", "5"],
+        ["compare", "--output", "json"],
+        ["compare", "--mode", "geometries", "--geometry", "resolved-conifold"],
+        ["compare", "--mode", "geometries", "--raw"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -133,3 +142,17 @@ def test_compare_geometries_table(capsys):
     assert code == 0
     assert "(1,0): opposite" in out
     assert "(2,0): differ" in out
+
+
+def test_traced_check_run():
+    # the benchmark's layer tracer rebinds program functions by name; a run
+    # through it fails when one of those names goes away
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"),
+         "check", "--suite", "fixture:eq2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("PERFBENCH-TRACE ")
+               for line in proc.stderr.splitlines()), proc.stderr

@@ -1,11 +1,12 @@
 import pytest
 
-from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, subpartitions_within
+from oracles import (OracleTruncationError, cell_stats, residual_equal,
+                     schur_tableau_oracle, subpartitions_within)
+from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
 from rp3vertex.ring import Laurent, RationalFunction, expand, rf_equal
-from rp3vertex.specialize import (Alphabet, OracleTruncationError,
-                                  complete_homogeneous, macdonald_p_at_rho,
-                                  macdonald_tilde_z, principal,
-                                  schur_tableau_oracle, skew_schur)
+from rp3vertex.specialize import (Alphabet, complete_homogeneous,
+                                  macdonald_p_at_rho, macdonald_tilde_z,
+                                  principal, skew_schur)
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -94,7 +95,7 @@ def test_oracle_matches_determinant_small():
     det = expand(skew_schur(lam, eta, RHO_Q), 8)
     orc = schur_tableau_oracle(lam, eta, RHO_Q, 8)
     assert det.prefactor == orc.prefactor
-    assert det.residual_equal(orc)
+    assert residual_equal(det, orc)
 
 
 def test_oracle_truncation_error():
@@ -113,7 +114,7 @@ def test_oracle_equivalence_sweep():
                 det = expand(skew_schur(lam, eta, alphabet), 8, var)
                 orc = schur_tableau_oracle(lam, eta, alphabet, 8)
                 assert det.prefactor == orc.prefactor, (lam, eta, alphabet)
-                assert det.residual_equal(orc), (lam, eta, alphabet)
+                assert residual_equal(det, orc), (lam, eta, alphabet)
                 checked += 1
     assert checked >= 3 * 100
 
@@ -177,7 +178,7 @@ def test_macdonald_tilde_z_examples():
 def test_tilde_z_equal_arguments_is_hook_product():
     for nu in enumerate_up_to(6):
         hook = one
-        for (_, _, h) in nu.cell_stats().values():
+        for (_, _, h) in cell_stats(nu).values():
             hook = hook / (1 - q ** h)
         assert rf_equal(macdonald_tilde_z(nu, "t").substitute_t_eq_q(), hook)
         assert rf_equal(macdonald_tilde_z(nu, "q").substitute_t_eq_q(), hook)

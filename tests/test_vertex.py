@@ -1,10 +1,17 @@
+"""The trivalent vertex as the gluing uses it: the four displayed-product
+blocks of the amplitude's table, in both modes, and the edge framings.
+
+The one-parameter blocks are written out below as the reference the refined
+table must reduce to at t = q, block by block; regular mode computes them as
+that reduction, taken leaf by leaf."""
+
 import pytest
 
+from rp3vertex.amplitude import _c_brane, _c_brane_g, _c_plain, _c_plain_g
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
 from rp3vertex.ring import RationalFunction, rf_equal
 from rp3vertex.specialize import principal, skew_schur
-from rp3vertex.vertex import (framing_refined, framing_refined_pair,
-                              framing_regular, vertex_refined, vertex_regular)
+from rp3vertex.vertex import framing_refined, framing_regular
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -14,21 +21,61 @@ th = RationalFunction.monomial(0, 1)
 BOX = Partition([1])
 
 
+def _s(lam, shift=EMPTY):
+    return skew_schur(lam, EMPTY, principal("q", shift))
+
+
+def _qk(kappa):
+    return RationalFunction.monomial(kappa, 0)
+
+
+def _brane_regular(lam, alpha, nu1):
+    nu1t = nu1.conjugate()
+    return _qk(alpha.kappa) * _s(nu1t) * _s(lam, nu1) * _s(alpha, nu1t)
+
+
+def _plain_regular(lam, nu2):
+    return _qk(lam.kappa) * _s(nu2) * _s(lam, nu2)
+
+
+def _brane_g_regular(gamma, beta, nu1):
+    nu1t = nu1.conjugate()
+    return _qk(beta.kappa) * _s(nu1) * _s(gamma, nu1t) * _s(beta, nu1)
+
+
+def _plain_g_regular(beta, nu2):
+    return _s(nu2.conjugate()) * _s(beta, nu2)
+
+
+BLOCKS = [(_c_brane, _brane_regular, 3), (_c_plain, _plain_regular, 2),
+          (_c_brane_g, _brane_g_regular, 3), (_c_plain_g, _plain_g_regular, 2)]
+
+
+def _arguments(arity, total):
+    """Every arity-tuple of partitions with sizes adding up to <= total."""
+    out = [()]
+    for _ in range(arity):
+        out = [args + (p,) for args in out
+               for p in enumerate_up_to(total - sum(a.size for a in args))]
+    return out
+
+
 def test_trivial_vertices():
-    assert vertex_regular(EMPTY, EMPTY, EMPTY).is_one()
-    assert vertex_refined(EMPTY, EMPTY, EMPTY).is_one()
+    for block, _regular, arity in BLOCKS:
+        for refined in (False, True):
+            assert block(*(EMPTY,) * arity, refined).is_one(), (block, refined)
 
 
 def test_vertex_regular_third_leg_only():
-    assert rf_equal(vertex_regular(EMPTY, EMPTY, BOX), qh / (1 - q))
+    # the brane block with both colors empty is the one-leg vertex
+    assert rf_equal(_c_brane(EMPTY, EMPTY, BOX, False), qh / (1 - q))
     for nu in enumerate_up_to(6):
         want = skew_schur(nu.conjugate(), EMPTY, principal("q"))
-        assert rf_equal(vertex_regular(EMPTY, EMPTY, nu), want), nu
+        assert rf_equal(_c_brane(EMPTY, EMPTY, nu, False), want), nu
 
 
 def test_vertex_regular_single_box_symmetry():
-    assert rf_equal(vertex_regular(BOX, EMPTY, EMPTY),
-                    vertex_regular(EMPTY, BOX, EMPTY))
+    assert rf_equal(_c_plain(BOX, EMPTY, False), _c_brane(EMPTY, BOX, EMPTY, False))
 
 
 def test_framing_regular_examples():
@@ -37,15 +84,20 @@ def test_framing_regular_examples():
     assert rf_equal(framing_regular(Partition([2])), 1 / q)
 
 
+def _edge_pair(nu1, nu2):
+    # the two glued-edge refined framings, one in each parameter order
+    return framing_refined(nu1, ("t", "q")) * framing_refined(nu2, ("q", "t"))
+
+
 def test_framing_refined_pair_examples():
-    assert framing_refined_pair(EMPTY, EMPTY).is_one()
-    assert rf_equal(framing_refined_pair(BOX, EMPTY), -RationalFunction.one())
+    assert _edge_pair(EMPTY, EMPTY).is_one()
+    assert rf_equal(_edge_pair(BOX, EMPTY), -RationalFunction.one())
 
 
 def test_framing_refined_pair_reduces():
     for nu1 in enumerate_up_to(4):
         for nu2 in enumerate_up_to(4 - nu1.size):
-            left = framing_refined_pair(nu1, nu2).substitute_t_eq_q()
+            left = _edge_pair(nu1, nu2).substitute_t_eq_q()
             right = framing_regular(nu1) * framing_regular(nu2)
             assert rf_equal(left, right), (nu1, nu2)
 
@@ -53,46 +105,27 @@ def test_framing_refined_pair_reduces():
 def test_framing_refined_order_contract():
     with pytest.raises(ValueError):
         framing_refined(BOX, ("t", "t"))
-    with pytest.raises(ValueError):
-        vertex_refined(BOX, EMPTY, EMPTY, ("q", "q"))
 
 
 def test_vertex_refined_third_leg_value():
-    got = vertex_refined(EMPTY, EMPTY, BOX)
-    assert rf_equal(got, qh / (1 - t))
+    assert rf_equal(_c_brane(EMPTY, EMPTY, BOX, True), qh / (1 - t))
 
 
 def test_vertex_refined_swapped_order():
-    got = vertex_refined(EMPTY, EMPTY, BOX, ("q", "t"))
-    assert rf_equal(got, th / (1 - q))
+    # the gamma-side brane block carries the parameters exchanged
+    assert rf_equal(_c_brane_g(EMPTY, EMPTY, BOX, True), th / (1 - q))
 
 
 def test_vertex_refined_reduces_to_regular():
-    triples = []
-    parts = enumerate_up_to(5)
-    for lam in parts:
-        for mu in parts:
-            if lam.size + mu.size > 5:
-                continue
-            for nu in parts:
-                if lam.size + mu.size + nu.size > 5:
-                    continue
-                triples.append((lam, mu, nu))
-    for lam, mu, nu in triples:
-        left = vertex_refined(lam, mu, nu).substitute_t_eq_q()
-        right = vertex_regular(lam, mu, nu)
-        assert rf_equal(left, right), (lam, mu, nu)
-        swapped = vertex_refined(lam, mu, nu, ("q", "t")).substitute_t_eq_q()
-        assert rf_equal(swapped, right), (lam, mu, nu)
+    for block, regular, arity in BLOCKS:
+        for args in _arguments(arity, 3):
+            want = regular(*args)
+            assert rf_equal(block(*args, True).substitute_t_eq_q(), want), (block, args)
+            assert rf_equal(block(*args, False), want), (block, args)
 
 
 def test_vertex_values_nonvanishing():
-    parts = enumerate_up_to(5)
-    for lam in parts:
-        for mu in parts:
-            if lam.size + mu.size > 5:
-                continue
-            for nu in parts:
-                if lam.size + mu.size + nu.size > 5:
-                    continue
-                assert not vertex_regular(lam, mu, nu).is_zero(), (lam, mu, nu)
+    for block, _regular, arity in BLOCKS:
+        for args in _arguments(arity, 4):
+            for refined in (False, True):
+                assert not block(*args, refined).is_zero(), (block, args, refined)
