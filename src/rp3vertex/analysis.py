@@ -9,10 +9,11 @@ import fnmatch
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
-from .amplitude import AmplitudeSpec, closed_amplitude, normalize, open_amplitude
-from .partitions import parse_partition
+from .amplitude import AmplitudeSpec, normalize, open_amplitude
+from .partitions import EMPTY, Partition, parse_partition
 from .ring import ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, rf_equal
 
 
@@ -169,6 +170,11 @@ CONJECTURE_COLORS = [
     ("[1]", "[1]"), ("[1]", "[1,1]"),
 ]
 
+# (alpha, gamma, first pure-base degree that must vanish)
+STRUCTURE_CASES = [("[1]", "[]", 2), ("[1,1]", "[]", 3), ("[1]", "[1]", 3)]
+
+DEEP_CUTOFF = 4   # total degree of the positivity, support and structure checks
+
 
 @dataclass
 class SuiteEntry:
@@ -181,133 +187,133 @@ class SuiteEntry:
 
 
 class SuiteRunner:
-    """Runs the fixture and conjecture checks with shared amplitude caching."""
+    """Runs the fixture and conjecture checks.
 
-    def __init__(self, fixtures_dir=None, q_order=20, deep_cutoff=4):
+    `table` lists every check as (check_id, expected verdict, thunk) in
+    report order; `run` selects rows by id before it calls any thunk, and
+    the thunks share one memo in which each distinct series is built once.
+    """
+
+    def __init__(self, fixtures_dir=None, q_order=20):
         self.fixtures = load_fixtures(fixtures_dir)
         self.q_order = q_order
-        self.deep_cutoff = deep_cutoff
-        self._open = {}
-        self._closed = {}
+        self._memo = {}
+        self.table = self._build_table()
 
-    def _closed_series(self, geometry, refined, cutoff):
-        key = (geometry, refined, cutoff)
-        if key not in self._closed:
-            self._closed[key] = closed_amplitude(refined, cutoff, geometry)
-        return self._closed[key]
-
-    def _open_series(self, geometry, alpha, gamma, refined, cutoff):
-        key = (geometry, alpha, gamma, refined, cutoff)
-        if key not in self._open:
-            spec = AmplitudeSpec(geometry=geometry,
-                                 alpha=parse_partition(alpha),
-                                 gamma=parse_partition(gamma),
-                                 refined=refined, cutoff=cutoff)
-            self._open[key] = open_amplitude(spec)
-        return self._open[key]
-
-    def series_for(self, spec, cutoff=None):
-        geometry = spec.get("geometry", "local_p1xp1")
-        cutoff = cutoff if cutoff is not None else spec["cutoff"]
-        refined = spec["refined"]
-        raw = self._open_series(geometry, spec["alpha"], spec["gamma"], refined, cutoff)
-        if spec.get("normalized", True):
-            return normalize(raw, self._closed_series(geometry, refined, cutoff))
-        return raw
+    def series(self, alpha, gamma, refined, cutoff=DEEP_CUTOFF,
+               geometry="local_p1xp1", normalized=True):
+        """The open series for colors alpha, gamma (partitions), divided by
+        the closed one unless normalized is False; the closed series is the
+        raw series with empty colors."""
+        key = (geometry, alpha, gamma, refined, cutoff, normalized)
+        if key not in self._memo:
+            if normalized:
+                value = normalize(
+                    self.series(alpha, gamma, refined, cutoff, geometry, False),
+                    self.series(EMPTY, EMPTY, refined, cutoff, geometry, False))
+            else:
+                value = open_amplitude(AmplitudeSpec(
+                    geometry=geometry, alpha=alpha, gamma=gamma,
+                    refined=refined, cutoff=cutoff))
+            self._memo[key] = value
+        return self._memo[key]
 
     def run(self, pattern=None):
-        entries = []
-        for fx in self.fixtures:
-            computed = self.series_for(fx["spec"])
-            entries.append(SuiteEntry(fixture_compare(fx, computed)))
+        """Entries for the checks whose id matches the glob pattern (every
+        check when it is None), in table order; only these are computed."""
+        return [SuiteEntry(thunk(), expected)
+                for check_id, expected, thunk in self.table
+                if not pattern or fnmatch.fnmatch(check_id, pattern)]
 
-        d = self.deep_cutoff
+    def _build_table(self):
+        table = []
+
+        def add(check_id, method, *args, expected="pass"):
+            table.append((check_id, expected, partial(method, *args, check_id)))
+
+        for fx in self.fixtures:
+            add(f"fixture:{fx['id']}", self._fixture, fx)
+
         for alpha, gamma in CONJECTURE_COLORS:
             tag = f"{alpha}{gamma}"
+            colors = (parse_partition(alpha), parse_partition(gamma))
             for refined in (False, True):
                 mode = "refined" if refined else "regular"
-                spec = {"alpha": alpha, "gamma": gamma, "refined": refined,
-                        "cutoff": d, "normalized": True}
-                zhat = self.series_for(spec)
-                entries.append(SuiteEntry(positivity_check(
-                    zhat, self.q_order, refined, f"positivity:{tag}:{mode}")))
-                entries.append(SuiteEntry(support_check(
-                    zhat, parse_partition(alpha), parse_partition(gamma),
-                    f"support:{tag}:{mode}")))
-            refined_s = self.series_for({"alpha": alpha, "gamma": gamma,
-                                         "refined": True, "cutoff": d})
-            regular_s = self.series_for({"alpha": alpha, "gamma": gamma,
-                                         "refined": False, "cutoff": d})
-            entries.append(SuiteEntry(reduction_check(
-                refined_s, regular_s, f"reduction:{tag}")))
+                add(f"positivity:{tag}:{mode}", self._positivity, *colors, refined)
+                add(f"support:{tag}:{mode}", self._support, *colors, refined)
+            add(f"reduction:{tag}", self._reduction, *colors)
 
-        closed_ref = self._closed_series("local_p1xp1", True, 3)
-        entries.append(SuiteEntry(symmetry_check_tq(closed_ref, "symmetry:closed")))
-        open_ref = self.series_for({"alpha": "[1]", "gamma": "[]", "refined": True,
-                                    "cutoff": 3})
-        entries.append(SuiteEntry(
-            symmetry_check_tq(open_ref, "symmetry:open_fundamental"),
-            expected="fail"))
+        add("symmetry:closed", self._symmetry, EMPTY, False)
+        add("symmetry:open_fundamental", self._symmetry, Partition([1]), True,
+            expected="fail")
 
-        entries.extend(self._structure_checks())
-        entries.extend(self._comparison_checks())
-
-        if pattern:
-            entries = [e for e in entries
-                       if fnmatch.fnmatch(e.report.check_id, pattern)]
-        return entries
-
-    def _structure_checks(self):
-        """The pure-base truncation and no-pure-fiber observations."""
-        out = []
-        cases = [("[1]", "[]", 2), ("[1,1]", "[]", 3), ("[1]", "[1]", 3)]
-        for alpha, gamma, start in cases:
+        # the pure-base truncation and no-pure-fiber observations
+        for alpha, gamma, start in STRUCTURE_CASES:
+            colors = (parse_partition(alpha), parse_partition(gamma))
             for refined in (False, True):
-                mode = "refined" if refined else "regular"
-                zhat = self.series_for({"alpha": alpha, "gamma": gamma,
-                                        "refined": refined, "cutoff": self.deep_cutoff})
-                tag = f"{alpha}{gamma}:{mode}"
-                witness = None
-                for r in range(start, self.deep_cutoff + 1):
-                    if not zhat.coeffs.get((r, 0), RF_ZERO).is_zero():
-                        witness = f"nonzero pure-base coefficient at ({r},0)"
-                        break
-                out.append(SuiteEntry(CheckReport(
-                    f"structure:pure_base:{tag}",
-                    "fail" if witness else "pass", witness=witness)))
-                witness = None
-                for s in range(1, self.deep_cutoff + 1):
-                    if not zhat.coeffs.get((0, s), RF_ZERO).is_zero():
-                        witness = f"nonzero pure-fiber coefficient at (0,{s})"
-                        break
-                out.append(SuiteEntry(CheckReport(
-                    f"structure:no_pure_fiber:{tag}",
-                    "fail" if witness else "pass", witness=witness)))
-        return out
+                tag = f"{alpha}{gamma}:{'refined' if refined else 'regular'}"
+                add(f"structure:pure_base:{tag}", self._vanishing, *colors, refined,
+                    "pure-base", [(r, 0) for r in range(start, DEEP_CUTOFF + 1)])
+                add(f"structure:no_pure_fiber:{tag}", self._vanishing, *colors,
+                    refined, "pure-fiber",
+                    [(0, s) for s in range(1, DEEP_CUTOFF + 1)])
 
-    def _comparison_checks(self):
-        """Cross-geometry Hopf comparison: equal leading, opposite first base
-        coefficient, genuinely different second one."""
-        out = []
-        local = self.series_for({"alpha": "[1]", "gamma": "[1]", "refined": False,
-                                 "cutoff": 3})
-        con = self._open_series("resolved_conifold", "[1]", "[1]", False, 3)
-        con_hat = normalize(con, self._closed_series("resolved_conifold", False, 3))
+        # cross-geometry Hopf comparison: equal leading, opposite first base
+        # coefficient, genuinely different second one
+        add("comparison:leading", self._hopf_base, 0, False, True,
+            "leading coefficients differ")
+        add("comparison:first_base", self._hopf_base, 1, True, True,
+            "first base coefficients are not opposite")
+        add("comparison:second_base", self._hopf_base, 2, False, False,
+            "second base coefficients coincide")
+        return table
 
-        checks = [
-            ("comparison:leading", rf_equal(con_hat.coeff(0, 0), local.coeff(0, 0)),
-             "leading coefficients differ"),
-            ("comparison:first_base",
-             rf_equal(con_hat.coeff(1, 0), -local.coeff(1, 0)),
-             "first base coefficients are not opposite"),
-            ("comparison:second_base",
-             not rf_equal(con_hat.coeff(2, 0), local.coeff(2, 0)),
-             "second base coefficients coincide"),
-        ]
-        for cid, ok, msg in checks:
-            out.append(SuiteEntry(CheckReport(
-                cid, "pass" if ok else "fail", witness=None if ok else msg)))
-        return out
+    # -- the thunks; each takes its check id last ----------------------------
+
+    def _fixture(self, fx, check_id):
+        spec = fx["spec"]
+        computed = self.series(
+            parse_partition(spec["alpha"]), parse_partition(spec["gamma"]),
+            spec["refined"], spec["cutoff"], spec.get("geometry", "local_p1xp1"),
+            spec.get("normalized", True))
+        return fixture_compare(fx, computed, check_id)
+
+    def _positivity(self, alpha, gamma, refined, check_id):
+        return positivity_check(self.series(alpha, gamma, refined), self.q_order,
+                                refined, check_id)
+
+    def _support(self, alpha, gamma, refined, check_id):
+        return support_check(self.series(alpha, gamma, refined), alpha, gamma,
+                             check_id)
+
+    def _reduction(self, alpha, gamma, check_id):
+        return reduction_check(self.series(alpha, gamma, True),
+                               self.series(alpha, gamma, False), check_id)
+
+    def _symmetry(self, alpha, normalized, check_id):
+        """Parameter exchange on the refined cutoff-3 series: the closed one
+        (raw), or the open one with color alpha (normalized)."""
+        series = self.series(alpha, EMPTY, True, 3, normalized=normalized)
+        return symmetry_check_tq(series, check_id)
+
+    def _vanishing(self, alpha, gamma, refined, what, cells, check_id):
+        zhat = self.series(alpha, gamma, refined)
+        for r, s in cells:
+            if not zhat.coeffs.get((r, s), RF_ZERO).is_zero():
+                return CheckReport(check_id, "fail",
+                                   witness=f"nonzero {what} coefficient at ({r},{s})")
+        return CheckReport(check_id, "pass")
+
+    def _hopf_base(self, r, opposite, equal, message, check_id):
+        """Whether the regular cutoff-3 Hopf coefficient at (r,0) of the
+        single-edge geometry equals (or, with opposite, is minus) that of
+        the square graph, as equal demands."""
+        hopf = (Partition([1]), Partition([1]), False, 3)
+        local = self.series(*hopf).coeff(r, 0)
+        con = self.series(*hopf, geometry="resolved_conifold").coeff(r, 0)
+        ok = rf_equal(con, -local if opposite else local) == equal
+        return CheckReport(check_id, "pass" if ok else "fail",
+                           witness=None if ok else message)
 
 
 def summary_table(entries):

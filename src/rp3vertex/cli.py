@@ -17,7 +17,6 @@ from .partitions import parse_partition
 from .ring import ExpansionError, expand, rf_equal
 
 DEFAULT_CUTOFF_CEILING = 4
-DEFAULT_QORDER_CEILING = 20
 
 
 def emit_text(series):
@@ -81,9 +80,6 @@ def cmd_compute(args, parser):
 
 def cmd_expand(args, parser):
     _check_cutoff(args, parser)
-    if args.q_order > args.max_q_order:
-        parser.error(f"q-order {args.q_order} above ceiling {args.max_q_order} "
-                     f"(raise with --max-q-order)")
     _check_q_order(args, parser)
     spec = _spec_from_args(args)
     try:
@@ -113,9 +109,7 @@ def cmd_expand(args, parser):
 
 def cmd_check(args, parser):
     _check_q_order(args, parser)
-    runner = SuiteRunner(fixtures_dir=args.fixtures_dir,
-                         q_order=min(args.q_order, args.max_q_order),
-                         deep_cutoff=min(4, args.max_cutoff))
+    runner = SuiteRunner(fixtures_dir=args.fixtures_dir, q_order=args.q_order)
     pattern = None if args.suite in ("all", "*") else args.suite
     entries = runner.run(pattern)
     if not entries:
@@ -133,6 +127,9 @@ def cmd_compare(args, parser):
     _check_cutoff(args, parser)
     spec = _spec_from_args(args)
     if args.mode == "reduction":
+        if args.refined:
+            parser.error("--mode reduction compares both modes; "
+                         "--refined does not apply")
         regular = _series(replace(spec, refined=False), args.raw)[0]
         refined = _series(replace(spec, refined=True), args.raw)[0]
         reduced = refined.substitute_t_eq_q()
@@ -208,7 +205,6 @@ def build_parser():
     common(p)
     p.add_argument("--output", choices=["json", "text"], default="text")
     p.add_argument("--q-order", dest="q_order", type=int, default=20)
-    p.add_argument("--max-q-order", type=int, default=DEFAULT_QORDER_CEILING)
     p.add_argument("--coeff", required=True, metavar="r,s",
                    help="bidegree to expand")
     p.set_defaults(func=cmd_expand)
@@ -219,8 +215,6 @@ def build_parser():
     p.add_argument("--fixtures-dir", default=None)
     p.add_argument("--q-order", dest="q_order", type=int, default=20)
     p.add_argument("--output", choices=["json", "text"], default="text")
-    p.add_argument("--max-cutoff", type=int, default=DEFAULT_CUTOFF_CEILING)
-    p.add_argument("--max-q-order", type=int, default=DEFAULT_QORDER_CEILING)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("compare", help="side-by-side tables")

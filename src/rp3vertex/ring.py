@@ -58,9 +58,6 @@ class Laurent:
     def is_one(self):
         return len(self.terms) == 1 and self.terms.get((0, 0)) == 1
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -339,7 +336,7 @@ def _lift_sum(items, factors, i):
 class RationalFunction:
     """num over a product of normalized factors; exact, never gcd-reduced."""
 
-    __slots__ = ("num", "factors", "_den", "_hash")
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -364,7 +361,6 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_den", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -475,16 +471,6 @@ class RationalFunction:
         return RationalFunction.of(other) / self
 
     def __pow__(self, n):
-        if isinstance(n, Fraction):
-            if n.denominator == 1:
-                n = n.numerator
-            elif self.num.is_monomial() and not self.factors:
-                (eq, et), c = next(iter(self.num.terms.items()))
-                if c == 1 and (eq * n).denominator == 1 and (et * n).denominator == 1:
-                    return RationalFunction.monomial(int(eq * n), int(et * n))
-                raise ValueError("fractional power of a non-monomial")
-            else:
-                raise ValueError("fractional power of a non-monomial")
         if n == 0:
             return RF_ONE
         if n < 0:
@@ -548,14 +534,8 @@ class RationalFunction:
                 right = right * f ** m
         return left == right
 
-    def __hash__(self):
-        # weak hash: equal values in different unreduced forms may collide apart,
-        # so RationalFunction is not used as a dict key anywhere equality matters
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.factors))
-            object.__setattr__(self, "_hash", h)
-        return h
+    # equal values in different unreduced forms have no common hash
+    __hash__ = None
 
     # -- substitutions -----------------------------------------------------
 

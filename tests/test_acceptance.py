@@ -11,14 +11,14 @@ import pytest
 
 from oracles import residual_equal, schur_tableau_oracle, subpartitions_within
 from rp3vertex.analysis import SuiteRunner
-from rp3vertex.partitions import Partition, enumerate_up_to
+from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
 from rp3vertex.ring import Laurent, expand
 from rp3vertex.specialize import principal, skew_schur
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return SuiteRunner(q_order=20, deep_cutoff=4)
+    return SuiteRunner(q_order=20)
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,8 @@ def test_criterion_2_refined_fixtures(entries):
 
 def test_criterion_3_closed_normalization(runner, entries):
     ok, bad = _all_ok(entries, ["fixture:appB", "symmetry:closed"])
-    closed_ref = runner._closed_series("local_p1xp1", True, 3)
-    closed_reg = runner._closed_series("local_p1xp1", False, 3)
+    closed_ref = runner.series(EMPTY, EMPTY, True, 3, normalized=False)
+    closed_reg = runner.series(EMPTY, EMPTY, False, 3, normalized=False)
     reduces = closed_ref.substitute_t_eq_q().equal_through(closed_reg, 3) is None
     _verdict(3, "closed normalization: display, exchange symmetry, reduction",
              ok and reduces, bad or ("" if reduces else "t=q reduction"))

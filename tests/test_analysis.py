@@ -1,5 +1,10 @@
+import importlib.util
+import json
+import os
+
 import pytest
 
+from rp3vertex import analysis
 from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude
 from rp3vertex.analysis import (CheckReport, SuiteRunner, fixture_compare,
                                 fixtures_dir_default, load_fixtures,
@@ -117,6 +122,24 @@ def test_fixture_sources_unique_and_cited():
         seen.add(fx["source"])
 
 
+def test_fixture_corpus_matches_generator():
+    # the committed corpus is byte for byte what tools/make_fixtures.py
+    # writes; the tool is imported, not run, so nothing is written
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", os.path.join(root, "tools", "make_fixtures.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    built = {fx["id"] + ".json": json.dumps(fx, indent=1, sort_keys=True) + "\n"
+             for fx in tool.FIXTURES}
+    assert len(built) == 44
+    assert sorted(built) == sorted(n for n in os.listdir(tool.OUT)
+                                   if n.endswith(".json"))
+    for name, text in built.items():
+        with open(os.path.join(tool.OUT, name)) as fh:
+            assert fh.read() == text, name
+
+
 def test_fixtures_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("RP3VERTEX_FIXTURES", str(tmp_path))
     assert fixtures_dir_default() == str(tmp_path)
@@ -137,6 +160,48 @@ def test_suite_filter_and_summary():
     assert len(entries) == 1 and entries[0].ok
     table = summary_table(entries)
     assert "fixture:eq2" in table and "1/1" in table
+
+
+def _count_builds(monkeypatch):
+    """Record every open_amplitude spec and every normalized open series
+    the suite runner asks for."""
+    built, normalized = [], []
+    open_amplitude, normalize = analysis.open_amplitude, analysis.normalize
+
+    def counting_open(spec):
+        built.append(spec)
+        return open_amplitude(spec)
+
+    def counting_normalize(open_series, closed_series):
+        normalized.append(open_series)
+        return normalize(open_series, closed_series)
+
+    monkeypatch.setattr(analysis, "open_amplitude", counting_open)
+    monkeypatch.setattr(analysis, "normalize", counting_normalize)
+    return built, normalized
+
+
+def test_suite_filter_computes_only_selected(monkeypatch):
+    built, normalized = _count_builds(monkeypatch)
+    entries = SuiteRunner().run("fixture:eq2")
+    assert [e.report.check_id for e in entries] == ["fixture:eq2"]
+    # the open [1] series and the closed one, both regular at cutoff 3
+    assert len(built) == 2 and len(normalized) == 1
+    assert {(spec.alpha, spec.refined, spec.cutoff) for spec in built} == {
+        (BOX, False, 3), (EMPTY, False, 3)}
+
+
+def test_suite_table_order_and_single_normalization(monkeypatch):
+    built, normalized = _count_builds(monkeypatch)
+    runner = SuiteRunner()
+    entries = runner.run()
+    assert len(entries) == 96 and all(e.ok for e in entries)
+    # every table id is the id of the report its thunk returns
+    assert [e.report.check_id for e in entries] == [row[0] for row in runner.table]
+    assert [e.expected for e in entries] == [row[1] for row in runner.table]
+    # each distinct open series is built once and normalized once
+    assert len({id(s) for s in normalized}) == len(normalized) == 27
+    assert len(built) == 32
 
 
 def test_positivity_monotone_in_order():

@@ -83,6 +83,10 @@ def test_usage_errors(capsys):
         ["compare", "--output", "json"],
         ["compare", "--mode", "geometries", "--geometry", "resolved-conifold"],
         ["compare", "--mode", "geometries", "--raw"],
+        ["compare", "--alpha", "[1]", "--cutoff", "2", "--refined"],
+        ["check", "--max-cutoff", "2"],
+        ["check", "--max-q-order", "30"],
+        ["expand", "--alpha", "[1]", "--coeff", "1,0", "--max-q-order", "30"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -100,6 +104,14 @@ def test_check_subset_exit_zero(capsys):
     code, out = run_cli(capsys, "check", "--suite", "comparison:*")
     assert code == 0
     assert "3/3 checks as expected" in out
+
+
+def test_check_q_order_honoured(capsys):
+    # there is no q-order ceiling; the glob selects positivity:[1][]:regular
+    code, out = run_cli(capsys, "check", "--suite", "positivity:?1???:regular",
+                        "--q-order", "50")
+    assert code == 0
+    assert "through q-order 50" in out and "1/1 checks as expected" in out
 
 
 def test_check_json_output(capsys):

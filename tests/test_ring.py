@@ -80,6 +80,22 @@ def test_rf_equal_examples():
     assert rf_equal(a, a)
 
 
+def test_rf_unhashable():
+    # equal values in different unreduced forms could not share a hash
+    a = q / (1 - q)
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a: 1}
+
+
+def test_rf_integer_powers():
+    a = (1 + q) / (1 - t)
+    assert (a ** 0).is_one()
+    assert rf_equal(a ** 3, a * a * a)
+    assert rf_equal(a ** -2 * a ** 2, one)
+
+
 def test_rf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         one / zero
