@@ -8,6 +8,7 @@ verdict.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -109,7 +110,10 @@ def cmd_expand(args, parser):
 
 def cmd_check(args, parser):
     _check_q_order(args, parser)
-    runner = SuiteRunner(fixtures_dir=args.fixtures_dir, q_order=args.q_order)
+    try:
+        runner = SuiteRunner(fixtures_dir=args.fixtures_dir, q_order=args.q_order)
+    except OSError as err:
+        parser.error(f"cannot read the fixtures: {err}")
     pattern = None if args.suite in ("all", "*") else args.suite
     entries = runner.run(pattern)
     if not entries:
@@ -230,9 +234,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()
+        return code
     except ValueError as err:
         parser.error(str(err))
+    except BrokenPipeError:
+        # the reader closed early; stdout goes to devnull so the
+        # interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ of normalized factors (each with constant term 1 after content stripping),
 sums take factor-wise least common multiples, and equality is decided by
 cross multiplication.  A sum applies each LCM factor its terms miss once
 per group of terms that need it equally often, to their partial sum, not
-to every term's numerator on its own.
+to every term's numerator on its own.  Sums do not cancel; `cancelled`
+divides the numerator exactly by each factor 1 - m that divides it, and is
+called only on the skew Schur leaves and in `series_divide`.
 """
 
 from fractions import Fraction
@@ -127,20 +129,20 @@ class Laurent:
         if len(a) == 1:
             (eq, et), c = next(iter(a.items()))
             return Laurent({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
-        if len(a) == 2 and a.get((0, 0)) == 1:
+        m = _binomial_step(a) if len(a) == 2 else None
+        if m is not None:
             # 1 - m, the shape of every denominator factor sums lift by:
             # b minus b shifted by m, with no coefficient products
-            (mq, mt), c = next(kv for kv in a.items() if kv[0] != (0, 0))
-            if c == -1:
-                out = dict(b)
-                for (bq, bt), cb in b.items():
-                    e = (bq + mq, bt + mt)
-                    v = out.get(e, 0) - cb
-                    if v:
-                        out[e] = v
-                    else:
-                        del out[e]
-                return Laurent._of(out)
+            mq, mt = m
+            out = dict(b)
+            for (bq, bt), cb in b.items():
+                e = (bq + mq, bt + mt)
+                v = out.get(e, 0) - cb
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            return Laurent._of(out)
         out = {}
         for (aq, at), ca in a.items():
             for (bq, bt), cb in b.items():
@@ -298,6 +300,44 @@ def _normalize_factor(poly):
 
 def _factor_sort_key(f):
     return tuple(sorted(f.terms.items()))
+
+
+def _binomial_step(terms):
+    """m when the terms are exactly those of 1 - m, else None."""
+    if len(terms) != 2 or terms.get((0, 0)) != 1:
+        return None
+    m, c = next(kv for kv in terms.items() if kv[0] != (0, 0))
+    return m if c == -1 else None
+
+
+def _divide_one_minus(terms, m):
+    """terms / (1 - m) as a Laurent, or None when 1 - m does not divide.
+
+    The terms lie on chains e + k*m; writing N = (1 - m) Q along one chain
+    gives n_k = q_k - q_(k-1), so 1 - m divides exactly when every chain's
+    coefficients sum to zero, and Q is the running sum along each chain
+    from its first position to one before its last, gaps included."""
+    a, b = m
+    chains = {}
+    for e, c in terms.items():
+        k = e[0] // a if a else e[1] // b
+        key = (e[0] - k * a, e[1] - k * b)
+        chain = chains.get(key)
+        if chain is None:
+            chains[key] = {k: c}
+        else:
+            chain[k] = c
+    for chain in chains.values():
+        if sum(chain.values()):
+            return None
+    out = {}
+    for (x0, y0), chain in chains.items():
+        run = 0
+        for k in range(min(chain), max(chain)):
+            run += chain.get(k, 0)
+            if run:
+                out[(x0 + k * a, y0 + k * b)] = run
+    return Laurent._of(out)
 
 
 def _lift_sum(items, factors, i):
@@ -507,6 +547,25 @@ class RationalFunction:
         items = [(num, [need[j] for j in order]) for num, need in rows]
         total = _lift_sum(items, [facs[j] for j in order], 0)
         return RationalFunction._make(total, lcm)
+
+    def cancelled(self):
+        """The same value with each factor 1 - m divided out of the
+        numerator as often as it divides exactly, up to its multiplicity;
+        factors of any other shape are kept."""
+        num = self.num
+        bag = {}
+        for f, mult in self.factors:
+            m = _binomial_step(f.terms)
+            while m is not None and mult:
+                quo = _divide_one_minus(num.terms, m)
+                if quo is None:
+                    break
+                num = quo
+                mult -= 1
+            bag[f] = mult
+        if num is self.num:
+            return self
+        return RationalFunction._make(num, bag)
 
     # -- comparisons -------------------------------------------------------
 
@@ -1012,5 +1071,6 @@ def series_divide(num, den):
             if terms:
                 total = RationalFunction.sum_of(terms)
                 if not total.is_zero():
-                    quo[rs] = total if lead.is_one() else total / lead
+                    # later bidegrees are built from the cancelled forms
+                    quo[rs] = (total if lead.is_one() else total / lead).cancelled()
     return KahlerSeries(num.cutoff, quo, determined)

@@ -139,7 +139,8 @@ def skew_schur(lam, eta, alphabet):
 
     rows = [[complete_homogeneous(lam.part(i) - eta.part(j) - i + j, alphabet)
              for j in range(1, n + 1)] for i in range(1, n + 1)]
-    value = _det(rows)
+    # cancelled once here, the value is reused by every block product
+    value = _det(rows).cancelled()
     _SKEW_CACHE.setdefault(key, value)
     return value
 

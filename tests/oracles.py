@@ -3,7 +3,9 @@
 Each one is independent of the code path it checks: a brute-force tableau
 sum for the Jacobi-Trudi skew Schur values, Euler's recurrence for the
 partition enumerator, a series product for the series division, and cell
-statistics recounted from arms and legs.
+statistics recounted from arms and legs.  The series division's former
+form, which stores every quotient coefficient uncancelled, is kept as the
+reference for the cancelling one.
 """
 
 from rp3vertex.partitions import EMPTY, Partition
@@ -95,6 +97,41 @@ def series_multiply(a, b):
             if terms and rs in determined:
                 out[rs] = RationalFunction.sum_of(terms)
     return KahlerSeries(a.cutoff, out, determined)
+
+
+def reference_series_divide(num, den):
+    """series_divide without cancellation: each quotient coefficient is
+    stored as sum_of leaves it, and later bidegrees are built from it."""
+    if num.cutoff != den.cutoff:
+        raise ValueError("mismatched cutoffs")
+    if (0, 0) not in den.determined:
+        raise ZeroDivisionError("denominator series has no determined constant term")
+    lead = den.coeffs.get((0, 0))
+    if lead is None or lead.is_zero():
+        raise ZeroDivisionError("denominator series has zero constant term")
+    quo = {}
+    determined = set()
+    for d in range(num.cutoff + 1):
+        for r in range(d + 1):
+            rs = (r, d - r)
+            if rs in num.determined and all(
+                    u in den.determined and v in determined
+                    for u, v in _splits(rs) if u != (0, 0)):
+                determined.add(rs)
+            else:
+                continue
+            terms = [num.coeffs[rs]] if rs in num.coeffs else []
+            for (r1, s1), c1 in den.coeffs.items():
+                if (r1, s1) == (0, 0):
+                    continue
+                r2, s2 = rs[0] - r1, rs[1] - s1
+                if r2 >= 0 and s2 >= 0 and (r2, s2) in quo:
+                    terms.append(-(c1 * quo[(r2, s2)]))
+            if terms:
+                total = RationalFunction.sum_of(terms)
+                if not total.is_zero():
+                    quo[rs] = total if lead.is_one() else total / lead
+    return KahlerSeries(num.cutoff, quo, determined)
 
 
 class OracleTruncationError(ValueError):

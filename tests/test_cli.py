@@ -64,7 +64,7 @@ def test_byte_identical_reruns(capsys):
     assert c == d
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     for argv in (
         ["compute", "--alpha", "1,2"],
         ["compute", "--alpha", "[2,3]"],
@@ -87,11 +87,17 @@ def test_usage_errors(capsys):
         ["check", "--max-cutoff", "2"],
         ["check", "--max-q-order", "30"],
         ["expand", "--alpha", "[1]", "--coeff", "1,0", "--max-q-order", "30"],
+        ["check", "--fixtures-dir", "/nonexistent"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+    monkeypatch.setenv("RP3VERTEX_FIXTURES", "/nonexistent")
+    with pytest.raises(SystemExit) as err:
+        main(["check"])
+    assert err.value.code == 2
+    assert "cannot read the fixtures" in capsys.readouterr().err
 
 
 def test_ceiling_override(capsys):
@@ -154,6 +160,23 @@ def test_compare_geometries_table(capsys):
     assert code == 0
     assert "(1,0): opposite" in out
     assert "(2,0): differ" in out
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the raw refined series is ~250 kB, well over a pipe's buffer, so the
+    # writer is still writing when the reader goes away
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rp3vertex.cli", "compute", "--refined",
+         "--output", "json", "--cutoff", "4", "--alpha", "[1]", "--raw"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) != 0
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_traced_check_run():

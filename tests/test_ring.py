@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -240,6 +242,127 @@ def test_one_minus_monomial_product_matches_general(pm):
         assert got.terms == want.terms
         assert all(got.terms.values())
     assert (Laurent() * binomial).is_zero()
+
+
+# -- exact cancellation of 1 - m factors -------------------------------------
+
+def _digest_points():
+    """The exact points perfbench/run.py digests every benchmark output at."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(root, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.DIGEST_POINTS
+
+
+DIGEST_POINTS = _digest_points()
+
+# steps m = q^a t^b of the factor 1 - m, by the case of the chain key they hit
+STEPS = {
+    "negative_a": st.tuples(st.integers(-4, -1), st.integers(-4, 6)),
+    "zero_a": st.tuples(st.just(0), st.integers(-4, 4).filter(bool)),
+    "non_primitive": st.tuples(EXPONENTS.filter(lambda e: e != (0, 0)),
+                               st.integers(2, 3)).map(
+                                   lambda mg: (mg[0][0] * mg[1], mg[0][1] * mg[1])),
+    "any": EXPONENTS.filter(lambda e: e != (0, 0)),
+}
+
+
+def one_minus(m):
+    return Laurent({(0, 0): 1, m: -1})
+
+
+def is_one_minus(f):
+    return (len(f.terms) == 2 and f.terms.get((0, 0)) == 1
+            and sorted(f.terms.values()) == [-1, 1])
+
+
+def assert_same_value(got, rf):
+    assert got == rf
+    for qh_, th_ in DIGEST_POINTS:
+        assert got.evaluate(qh_, th_) == rf.evaluate(qh_, th_)
+    assert all(got.num.terms.values())
+
+
+def draw_cofactor(data, m):
+    """A Laurent with a run c, c*m, ..., so (1 - m) times it has a gap along
+    m that the quotient must fill."""
+    p = data.draw(LAURENTS)
+    (x, y), c = data.draw(EXPONENTS), data.draw(COEFFS.filter(bool))
+    run = {(x + k * m[0], y + k * m[1]): c for k in range(data.draw(st.integers(0, 5)))}
+    return p + Laurent(run)
+
+
+def draw_indivisible(data, m):
+    """A Laurent that 1 - m does not divide: a multiple of it plus a monomial."""
+    e, c = data.draw(EXPONENTS), data.draw(COEFFS.filter(bool))
+    return data.draw(LAURENTS) * one_minus(m) + Laurent.monomial(*e, c)
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_cancel_gives_back_the_cofactor(kind, data):
+    m = data.draw(STEPS[kind])
+    p = draw_cofactor(data, m)
+    f = one_minus(m)
+    # as stored, and as the constructor normalizes it (1 - 1/m when m < 1)
+    for rf in (RationalFunction._make(p * f, {f: 1}), RationalFunction(p * f, f)):
+        got = rf.cancelled()
+        assert got.num.terms == p.terms
+        assert got.factors == ()
+        assert_same_value(got, rf)
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_cancel_keeps_a_factor_that_does_not_divide(kind, data):
+    m = data.draw(STEPS[kind])
+    f = one_minus(m)
+    num = draw_indivisible(data, m)
+    rf = RationalFunction._make(num, {f: 2})
+    got = rf.cancelled()
+    assert got.num.terms == num.terms
+    assert got.factors == ((f, 2),)
+    assert_same_value(got, rf)
+
+
+@pytest.mark.parametrize("kind", sorted(STEPS))
+@settings(deadline=None, max_examples=50)
+@given(data=st.data())
+def test_cancel_up_to_the_multiplicity(kind, data):
+    m = data.draw(STEPS[kind])
+    f = one_minus(m)
+    p = draw_indivisible(data, m)
+    k, j = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    rf = RationalFunction._make(p * f ** k, {f: j})
+    got = rf.cancelled()
+    assert got.num.terms == (p * f ** max(k - j, 0)).terms
+    assert got.factors == (((f, j - k),) if j > k else ())
+    assert_same_value(got, rf)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rf_values(), st.data())
+def test_cancelled_equals_its_input(rf, data):
+    # a numerator multiplied by some of its own factors, binomial or not
+    polys = [f for f, _m in rf.factors]
+    extra = data.draw(st.lists(st.sampled_from(polys), max_size=4)) if polys else []
+    num = rf.num
+    for f in extra:
+        num = num * f
+    rf = RationalFunction._make(num, dict(rf.factors))
+    got = rf.cancelled()
+    assert_same_value(got, rf)
+    have = dict(got.factors)
+    for f, mult in rf.factors:
+        if is_one_minus(f):
+            assert have.get(f, 0) <= mult
+        else:
+            assert have[f] == mult
+    assert set(have) <= set(dict(rf.factors))
 
 
 def test_substitute_t_eq_q_examples():
