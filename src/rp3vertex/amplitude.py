@@ -23,7 +23,7 @@ Conventions fixed here and validated against the display fixtures:
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition, enumerate_up_to
 from .ring import KahlerSeries, RationalFunction, series_divide
 from .specialize import macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
@@ -128,7 +128,7 @@ def _color_monomial(alpha, gamma, refined):
 
 
 def _open_local(alpha, gamma, refined, cutoff):
-    parts = [p for n in range(cutoff + 1) for p in partitions_of(n)]
+    parts = enumerate_up_to(cutoff)
     terms = {}
     for nu1 in parts:
         for nu2 in parts:
@@ -160,34 +160,30 @@ def _open_local(alpha, gamma, refined, cutoff):
                         continue
                     terms.setdefault((r, s1 + s2), []).append(base * av * gv)
     strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
-    coeffs = {rs: RationalFunction.sum_of(v) * strip for rs, v in terms.items()}
-    return KahlerSeries(cutoff, {k: v for k, v in coeffs.items() if not v.is_zero()})
+    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
+                                 for rs, v in terms.items()})
 
 
 def _conifold(alpha, gamma, refined, cutoff):
     """Single compact edge, no framing; both colors shifted by the conjugate
-    edge partition, which reproduces the cross-geometry comparison claims."""
+    edge partition, which reproduces the cross-geometry comparison claims.
+    The alpha side is the square graph's first block with no fiber leg."""
     terms = {}
-    for n in range(cutoff + 1):
-        for nu in partitions_of(n):
-            nut = nu.conjugate()
-            eA = alpha.norm_sq + nu.norm_sq - alpha.size
-            a_side = (_mono(eA, -eA + alpha.kappa + nu.norm_sq, refined)
-                      * _tilde_z(nu, "t", refined)
-                      * _schur(alpha, "q", nut, "t", refined))
-            eG = gamma.norm_sq + nut.norm_sq + gamma.size
-            g_side = (_mono(-eG + gamma.kappa + nut.norm_sq, eG, refined)
-                      * _tilde_z(nut, "q", refined)
-                      * _schur(gamma, "t", nut, "q", refined))
-            terms.setdefault((n, 0), []).append((-1) ** n * a_side * g_side)
+    for nu in enumerate_up_to(cutoff):
+        nut = nu.conjugate()
+        eG = gamma.norm_sq + nut.norm_sq + gamma.size
+        g_side = (_mono(-eG + gamma.kappa + nut.norm_sq, eG, refined)
+                  * _tilde_z(nut, "q", refined)
+                  * _schur(gamma, "t", nut, "q", refined))
+        terms.setdefault((nu.size, 0), []).append(
+            (-1) ** nu.size * _c_brane(EMPTY, alpha, nu, refined) * g_side)
     eA = alpha.norm_sq - alpha.size
     eG = gamma.norm_sq - gamma.size
     strip = RationalFunction.one() / _mono(eA - eG + gamma.kappa,
                                            -eA + alpha.kappa + eG, refined)
-    coeffs = {rs: RationalFunction.sum_of(v) * strip for rs, v in terms.items()}
     determined = {(r, 0) for r in range(cutoff + 1)}
-    return KahlerSeries(cutoff, {k: v for k, v in coeffs.items() if not v.is_zero()},
-                        determined)
+    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
+                                 for rs, v in terms.items()}, determined)
 
 
 def open_amplitude(spec):

@@ -91,7 +91,11 @@ def cmd_expand(args, parser):
         parser.error(f"coefficient ({r},{s}) has a negative index")
     if r + s > spec.cutoff:
         parser.error(f"coefficient ({r},{s}) beyond cutoff {spec.cutoff}")
-    rf = _series(spec, args.raw)[0].coeff(r, s)
+    series = _series(spec, args.raw)[0]
+    if not series.is_determined(r, s):
+        parser.error(f"coefficient ({r},{s}) is not determined by the "
+                     f"{args.geometry} series at cutoff {spec.cutoff}")
+    rf = series.coeff(r, s)
     try:
         ser = expand(rf, args.q_order)
     except ExpansionError as err:

@@ -11,6 +11,11 @@ per group of terms that need it equally often, to their partial sum, not
 to every term's numerator on its own.  Sums do not cancel; `cancelled`
 divides the numerator exactly by each factor 1 - m that divides it, and is
 called only on the skew Schur leaves and in `series_divide`.
+
+Every division by a factor 1 - m, exact or as a power series cut at an
+order, goes through one kernel, `_divide_one_minus`; so `expand` takes the
+denominators that are products of factors 1 - q^a t^b with a >= 0.  Every
+polynomial a value is divided by is normalized by `RationalFunction._over`.
 """
 
 from fractions import Fraction
@@ -169,7 +174,7 @@ class Laurent:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative powers produce rational functions, use /")
+            raise ValueError("negative powers make rational functions")
         out = Laurent.const(1)
         base = self
         while n:
@@ -178,12 +183,6 @@ class Laurent:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def __truediv__(self, other):
-        return RationalFunction.of(self) / other
-
-    def __rtruediv__(self, other):
-        return RationalFunction.of(other) / self
 
     # -- structure ---------------------------------------------------------
 
@@ -290,14 +289,6 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
-def _normalize_factor(poly):
-    """Canonical denominator factor: (scalar, monomial, unit factor or None)."""
-    c, mon, unit = poly.normalized()
-    if unit.is_one():
-        return c, mon, None
-    return c, mon, unit
-
-
 def _factor_sort_key(f):
     return tuple(sorted(f.terms.items()))
 
@@ -310,13 +301,22 @@ def _binomial_step(terms):
     return m if c == -1 else None
 
 
-def _divide_one_minus(terms, m):
-    """terms / (1 - m) as a Laurent, or None when 1 - m does not divide.
+def _divide_one_minus(terms, m, last=None):
+    """terms / (1 - m) as a Laurent: exact, or None when 1 - m does not
+    divide; or, given `last`, the power series in m cut after doubled
+    q-exponent `last` (m must then have a positive q-exponent, and the
+    caller has dropped every term above `last`).
 
     The terms lie on chains e + k*m; writing N = (1 - m) Q along one chain
-    gives n_k = q_k - q_(k-1), so 1 - m divides exactly when every chain's
-    coefficients sum to zero, and Q is the running sum along each chain
-    from its first position to one before its last, gaps included."""
+    gives n_k = q_k - q_(k-1), so Q is the running sum along each chain from
+    its first position on, gaps included.  1 - m divides exactly when every
+    chain's coefficients sum to zero, and the exact Q stops one before the
+    chain's last position; 1 - m vanishes at q^(1/2) = t^(1/2) = 1, so a
+    non-zero sum of all the terms rules it out before any chain is built.
+    The truncated Q runs on to the chain's last position at or below
+    `last`."""
+    if last is None and sum(terms.values()):
+        return None
     a, b = m
     chains = {}
     for e, c in terms.items():
@@ -327,17 +327,37 @@ def _divide_one_minus(terms, m):
             chains[key] = {k: c}
         else:
             chain[k] = c
-    for chain in chains.values():
-        if sum(chain.values()):
-            return None
+    if last is None:
+        for chain in chains.values():
+            if sum(chain.values()):
+                return None
     out = {}
     for (x0, y0), chain in chains.items():
+        stop = max(chain) if last is None else (last - x0) // a + 1
         run = 0
-        for k in range(min(chain), max(chain)):
+        for k in range(min(chain), stop):
             run += chain.get(k, 0)
             if run:
                 out[(x0 + k * a, y0 + k * b)] = run
     return Laurent._of(out)
+
+
+def _one_minus_steps(f):
+    """The m of each 1 - m whose product is the factor f, or None when f is
+    no such product.  Each step divides f exactly by 1 - m for its
+    graded-lex least non-constant term m: f is normalized, so in a product
+    of factors 1 - m_i every m_i lies above 1 in that order, and the least
+    m_i is the least non-constant term of the product."""
+    steps = []
+    terms = f.terms
+    while len(terms) > 1:
+        m = min((e for e in terms if e != (0, 0)), key=Laurent._term_key)
+        quo = _divide_one_minus(terms, m)
+        if quo is None:
+            return None
+        steps.append(m)
+        terms = quo.terms
+    return steps if terms == {(0, 0): 1} else None
 
 
 def _lift_sum(items, factors, i):
@@ -376,7 +396,7 @@ def _lift_sum(items, factors, i):
 class RationalFunction:
     """num over a product of normalized factors; exact, never gcd-reduced."""
 
-    __slots__ = ("num", "factors", "_den")
+    __slots__ = ("num", "factors")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -386,21 +406,12 @@ class RationalFunction:
             return
         if isinstance(den, (int, Fraction)):
             den = Laurent.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self._init(L_ZERO, ())
-            return
-        c, (eq, et), unit = _normalize_factor(den)
-        num = num.shift(-eq, -et)
-        if c != 1:
-            num = num.scale(Fraction(1, 1) / c)
-        self._init(num, () if unit is None else ((unit, 1),))
+        rf = RationalFunction._over(num, ((den, 1),), {})
+        self._init(rf.num, rf.factors)
 
     def _init(self, num, factors):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_den", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -417,6 +428,27 @@ class RationalFunction:
         ))
         rf._init(num, items)
         return rf
+
+    @staticmethod
+    def _over(num, divisors, bag):
+        """num / (the factors in bag * each polynomial ** multiplicity of
+        divisors): each divisor's content and monomial fold into num, and its
+        unit factor, unless 1, joins bag (updated in place)."""
+        scale = Fraction(1)
+        shift_q = shift_t = 0
+        for poly, mult in divisors:
+            if poly.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            c, (eq, et), unit = poly.normalized()
+            scale *= Fraction(c) ** mult
+            shift_q += eq * mult
+            shift_t += et * mult
+            if not unit.is_one():
+                bag[unit] = bag.get(unit, 0) + mult
+        num = num.shift(-shift_q, -shift_t)
+        if scale != 1:
+            num = num.scale(1 / scale)
+        return RationalFunction._make(num, bag)
 
     # -- constructors ------------------------------------------------------
 
@@ -444,13 +476,10 @@ class RationalFunction:
 
     @property
     def den(self):
-        """The expanded denominator polynomial (cached)."""
-        d = self._den
-        if d is None:
-            d = L_ONE
-            for f, m in self.factors:
-                d = d * f ** m
-            object.__setattr__(self, "_den", d)
+        """The expanded denominator polynomial."""
+        d = L_ONE
+        for f, m in self.factors:
+            d = d * f ** m
         return d
 
     def is_zero(self):
@@ -498,14 +527,7 @@ class RationalFunction:
         num = self.num
         for f, m in other.factors:
             num = num * f ** m
-        c, (eq, et), unit = _normalize_factor(other.num)
-        num = num.shift(-eq, -et)
-        if c != 1:
-            num = num.scale(Fraction(1, 1) / c)
-        bag = dict(self.factors)
-        if unit is not None:
-            bag[unit] = bag.get(unit, 0) + 1
-        return RationalFunction._make(num, bag)
+        return RationalFunction._over(num, ((other.num, 1),), dict(self.factors))
 
     def __rtruediv__(self, other):
         return RationalFunction.of(other) / self
@@ -599,24 +621,8 @@ class RationalFunction:
     # -- substitutions -----------------------------------------------------
 
     def _map(self, fn):
-        num = fn(self.num)
-        bag = {}
-        scale = Fraction(1)
-        shift_q = shift_t = 0
-        for f, m in self.factors:
-            g = fn(f)
-            if g.is_zero():
-                raise ZeroDivisionError("denominator factor vanished under substitution")
-            c, (eq, et), unit = _normalize_factor(g)
-            scale *= Fraction(c) ** m
-            shift_q += eq * m
-            shift_t += et * m
-            if unit is not None:
-                bag[unit] = bag.get(unit, 0) + m
-        num = num.shift(-shift_q, -shift_t)
-        if scale != 1:
-            num = num.scale(1 / scale)
-        return RationalFunction._make(num, bag)
+        return RationalFunction._over(
+            fn(self.num), [(fn(f), m) for f, m in self.factors], {})
 
     def substitute_t_eq_q(self):
         return self._map(Laurent.substitute_t_eq_q)
@@ -798,10 +804,11 @@ def expand(rf, q_order, var="q"):
     """Series expansion of a rational function to the given order (plain,
     undoubled power of the expansion variable).
 
-    Denominator factors that are pure in the other variable must divide the
-    series coefficientwise; factors mixing in the expansion variable are
-    inverted geometrically.  Raises ExpansionError when a factor has no unit
-    constant term or a pure factor does not divide exactly.
+    Every denominator factor must be a product of factors 1 - q^a t^b with
+    a >= 0.  Steps with a > 0 are inverted as power series cut at the
+    order; steps with a = 0, pure in the other variable, must then divide
+    the series exactly.  Raises ExpansionError when a factor is no such
+    product, has a step with a < 0, or a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
     if var == "t":
@@ -811,57 +818,36 @@ def expand(rf, q_order, var="q"):
     if rf.is_zero():
         return QSeries(L_ONE, {}, 2 * q_order, var)
 
-    geom = []   # factors with every non-constant term strictly positive in q
-    pure = []   # factors in t alone
-    for f, m in rf.factors:
-        if f.terms.get((0, 0)) != 1:
+    geom = []   # steps m with a positive q-exponent
+    pure = []   # (factor, step m) with m in t alone
+    for f, mult in rf.factors:
+        steps = _one_minus_steps(f)
+        if steps is None:
             raise ExpansionError(
-                f"denominator factor {f.text()} has no unit constant term")
-        rest = {e: c for e, c in f.terms.items() if e != (0, 0)}
-        if all(eq > 0 for (eq, _et) in rest):
-            geom.append((rest, m))
-        elif all(eq == 0 for (eq, _et) in rest):
-            pure.append((f, m))
-        else:
+                f"denominator factor {f.text()} is not a product of factors 1 - q^a t^b")
+        for m in steps * mult:
+            if m[0] < 0:
+                raise ExpansionError(
+                    f"denominator factor {f.text()} has a step 1 - q^a t^b with a < 0")
+            if m[0]:
+                geom.append(m)
+            else:
+                pure.append((f, m))
+
+    last = rf.num.min_q_exp() + 2 * q_order
+    terms = {e: c for e, c in rf.num.terms.items() if e[0] <= last}
+    for m in geom:
+        terms = _divide_one_minus(terms, m, last).terms
+    for f, m in pure:
+        quo = _divide_one_minus(terms, m)
+        if quo is None:
             raise ExpansionError(
-                f"denominator factor {f.text()} mixes q-free and q-positive terms")
+                f"coefficient is not polynomial after dividing by {f.text()}")
+        terms = quo.terms
 
-    base_q = rf.num.min_q_exp()
-    bound = base_q + 2 * q_order
-
-    # slices: doubled q exponent -> {doubled t exponent: coeff}
     slices = {}
-    for (eq, et), c in rf.num.terms.items():
-        if eq <= bound:
-            slices.setdefault(eq, {})[et] = c
-
-    for rest, mult in geom:
-        for _ in range(mult):
-            # solve S = N - rest * S slice by slice; rest has positive q exponents
-            new = {}
-            for qe in range(base_q, bound + 1):
-                acc = dict(slices.get(qe, {}))
-                for (ueq, uet), uc in rest.items():
-                    src = new.get(qe - ueq)
-                    if src:
-                        for te, c in src.items():
-                            v = acc.get(te + uet, 0) - uc * c
-                            if v:
-                                acc[te + uet] = v
-                            elif (te + uet) in acc:
-                                del acc[te + uet]
-                if acc:
-                    new[qe] = acc
-            slices = new
-
-    for f, mult in pure:
-        divisor = {et: -c for (_eq, et), c in f.terms.items() if (_eq, et) != (0, 0)}
-        for _ in range(mult):
-            new = {}
-            for qe, poly in slices.items():
-                new[qe] = _divide_t_poly(poly, divisor, f)
-            slices = new
-
+    for (eq, et), c in terms.items():
+        slices.setdefault(eq, {})[et] = c
     return canonical_series(slices, 2 * q_order, var)
 
 
@@ -906,30 +892,6 @@ def _content(values):
 def _tighten(f):
     f = Fraction(f)
     return f.numerator if f.denominator == 1 else f
-
-
-def _divide_t_poly(poly, divisor, factor):
-    """Exact division of a t-Laurent polynomial by (1 - divisor terms)."""
-    # poly = quotient * (1 - sum divisor), solve lowest exponent upward; an
-    # exact quotient never needs exponents beyond the dividend's top one
-    work = dict(poly)
-    quot = {}
-    steps = sorted(divisor)  # all positive t exponents
-    limit = max(poly)
-    while work:
-        te = min(work)
-        if te > limit:
-            raise ExpansionError(
-                f"coefficient is not polynomial after dividing by {factor.text()}")
-        c = work.pop(te)
-        quot[te] = c
-        for de in steps:
-            v = work.get(te + de, 0) + divisor[de] * c
-            if v:
-                work[te + de] = v
-            elif (te + de) in work:
-                del work[te + de]
-    return quot
 
 
 def substitute_t_eq_q(rf):

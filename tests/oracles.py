@@ -5,12 +5,14 @@ sum for the Jacobi-Trudi skew Schur values, Euler's recurrence for the
 partition enumerator, a series product for the series division, and cell
 statistics recounted from arms and legs.  The series division's former
 form, which stores every quotient coefficient uncancelled, is kept as the
-reference for the cancelling one.
+reference for the cancelling one, and the q-expansion's former form, which
+inverts each denominator factor slice by slice and divides pure-t factors
+by long division, as the reference for the one on the 1 - m kernel.
 """
 
 from rp3vertex.partitions import EMPTY, Partition
-from rp3vertex.ring import (KahlerSeries, Laurent, QSeries, RationalFunction,
-                            _splits, canonical_series)
+from rp3vertex.ring import (L_ONE, ExpansionError, KahlerSeries, Laurent, QSeries,
+                            RationalFunction, _splits, canonical_series)
 
 
 def hook(nu, i, j):
@@ -132,6 +134,101 @@ def reference_series_divide(num, den):
                 if not total.is_zero():
                     quo[rs] = total if lead.is_one() else total / lead
     return KahlerSeries(num.cutoff, quo, determined)
+
+
+def reference_expand(rf, q_order, var="q"):
+    """Series expansion of a rational function to the given order (plain,
+    undoubled power of the expansion variable).
+
+    Denominator factors that are pure in the other variable must divide the
+    series coefficientwise; factors mixing in the expansion variable are
+    inverted geometrically.  Raises ExpansionError when a factor has no unit
+    constant term or a pure factor does not divide exactly.
+    """
+    rf = RationalFunction.of(rf)
+    if var == "t":
+        result = reference_expand(rf.swap_qt(), q_order, "q")
+        return QSeries(result.prefactor.swap_qt(),
+                       result.coeffs, result.order, "t")
+    if rf.is_zero():
+        return QSeries(L_ONE, {}, 2 * q_order, var)
+
+    geom = []   # factors with every non-constant term strictly positive in q
+    pure = []   # factors in t alone
+    for f, m in rf.factors:
+        if f.terms.get((0, 0)) != 1:
+            raise ExpansionError(
+                f"denominator factor {f.text()} has no unit constant term")
+        rest = {e: c for e, c in f.terms.items() if e != (0, 0)}
+        if all(eq > 0 for (eq, _et) in rest):
+            geom.append((rest, m))
+        elif all(eq == 0 for (eq, _et) in rest):
+            pure.append((f, m))
+        else:
+            raise ExpansionError(
+                f"denominator factor {f.text()} mixes q-free and q-positive terms")
+
+    base_q = rf.num.min_q_exp()
+    bound = base_q + 2 * q_order
+
+    # slices: doubled q exponent -> {doubled t exponent: coeff}
+    slices = {}
+    for (eq, et), c in rf.num.terms.items():
+        if eq <= bound:
+            slices.setdefault(eq, {})[et] = c
+
+    for rest, mult in geom:
+        for _ in range(mult):
+            # solve S = N - rest * S slice by slice; rest has positive q exponents
+            new = {}
+            for qe in range(base_q, bound + 1):
+                acc = dict(slices.get(qe, {}))
+                for (ueq, uet), uc in rest.items():
+                    src = new.get(qe - ueq)
+                    if src:
+                        for te, c in src.items():
+                            v = acc.get(te + uet, 0) - uc * c
+                            if v:
+                                acc[te + uet] = v
+                            elif (te + uet) in acc:
+                                del acc[te + uet]
+                if acc:
+                    new[qe] = acc
+            slices = new
+
+    for f, mult in pure:
+        divisor = {et: -c for (_eq, et), c in f.terms.items() if (_eq, et) != (0, 0)}
+        for _ in range(mult):
+            new = {}
+            for qe, poly in slices.items():
+                new[qe] = _divide_t_poly(poly, divisor, f)
+            slices = new
+
+    return canonical_series(slices, 2 * q_order, var)
+
+
+def _divide_t_poly(poly, divisor, factor):
+    """Exact division of a t-Laurent polynomial by (1 - divisor terms)."""
+    # poly = quotient * (1 - sum divisor), solve lowest exponent upward; an
+    # exact quotient never needs exponents beyond the dividend's top one
+    work = dict(poly)
+    quot = {}
+    steps = sorted(divisor)  # all positive t exponents
+    limit = max(poly)
+    while work:
+        te = min(work)
+        if te > limit:
+            raise ExpansionError(
+                f"coefficient is not polynomial after dividing by {factor.text()}")
+        c = work.pop(te)
+        quot[te] = c
+        for de in steps:
+            v = work.get(te + de, 0) + divisor[de] * c
+            if v:
+                work[te + de] = v
+            elif (te + de) in work:
+                del work[te + de]
+    return quot
 
 
 class OracleTruncationError(ValueError):

@@ -76,6 +76,8 @@ def test_usage_errors(capsys, monkeypatch):
         ["expand", "--alpha", "[1]", "--coeff=-1,0"],
         ["expand", "--alpha", "[1]", "--coeff=2,-1"],
         ["expand", "--alpha", "[1]", "--coeff", "1,0", "--q-order", "-3"],
+        ["expand", "--geometry", "resolved-conifold", "--alpha", "[1]", "--coeff", "1,1"],
+        ["expand", "--geometry", "resolved-conifold", "--alpha", "[1]", "--coeff", "0,1"],
         ["check", "--suite", "positivity:*", "--q-order", "-3"],
         ["compute", "--q-order", "5"],
         ["compute", "--max-q-order", "30"],

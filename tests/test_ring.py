@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import series_multiply
+from oracles import reference_expand, series_multiply
 from rp3vertex.ring import (ExpansionError, KahlerSeries, Laurent, QSeries,
-                            RationalFunction, expand, rf_equal, series_divide)
+                            RationalFunction, _divide_one_minus, expand, rf_equal,
+                            series_divide)
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -519,6 +520,98 @@ def test_qseries_json_roundtrip():
     assert back.prefactor == ser.prefactor
     assert back.coeffs == ser.coeffs
     assert back.order == ser.order
+
+
+# -- expansion on the 1 - m kernel, against the slice-by-slice reference -----
+
+def expansion(fn, rf, q_order):
+    """(prefactor terms, coefficients, order), or None when fn raises."""
+    try:
+        ser = fn(rf, q_order)
+    except ExpansionError:
+        return None
+    return ser.prefactor.terms, ser.coeffs, ser.order
+
+
+# steps m = q^a t^b of the binomials 1 - m a denominator is built from
+EXPAND_STEPS = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(
+    lambda e: e != (0, 0))
+
+
+@st.composite
+def product_denominator_values(draw):
+    """(value, the same value with one factor per binomial, q-order).  The
+    value divides by products of binomials, some of them passed as one
+    polynomial, with multiplicities up to 3; the numerator mostly carries the
+    pure-t binomials of a product as often, so that they divide exactly."""
+    num = draw(LAURENTS.filter(bool))
+    value = by_step = RationalFunction(num)
+    for group in draw(st.lists(st.lists(EXPAND_STEPS, min_size=1, max_size=3),
+                               min_size=1, max_size=3)):
+        poly = Laurent.const(1)
+        for m in group:
+            poly = poly * one_minus(m)
+        mult = draw(st.integers(1, 3))
+        if draw(st.integers(0, 3)):
+            for m in group:
+                if m[0] == 0:
+                    value = value * RationalFunction(one_minus(m) ** mult)
+                    by_step = by_step * RationalFunction(one_minus(m) ** mult)
+        for _ in range(mult):
+            value = value / RationalFunction(poly)
+            for m in group:
+                by_step = by_step / RationalFunction(one_minus(m))
+    return value, by_step, draw(st.integers(0, 8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(product_denominator_values())
+def test_expand_matches_reference(case):
+    value, by_step, q_order = case
+    got = expansion(expand, value, q_order)
+    want = expansion(reference_expand, value, q_order)
+    if want is None and got is not None:
+        # a product mixing pure-t and positive-q steps, which the reference
+        # rejects as one factor but expands binomial by binomial
+        assert any(len(f.terms) > 2 for f, _m in value.factors)
+        want = expansion(reference_expand, by_step, q_order)
+        assert want is not None
+    assert got == want
+    assert expansion(expand, by_step, q_order) == got
+
+
+def test_expand_rejects_a_factor_that_is_no_binomial_product():
+    with pytest.raises(ExpansionError):
+        expand(1 / (1 + q), 3)
+
+
+def test_expand_mixed_product_factor():
+    # (1 - q^(3/2) t^-1)(1 - t^(1/2)) as one factor, and factor by factor
+    mixed, pure = one_minus((3, -2)), one_minus((0, 1))
+    num = Laurent.monomial(1, 0) * pure * Laurent({(0, 0): 1, (0, 2): 1})
+    whole = RationalFunction(num, mixed * pure)
+    by_step = RationalFunction(num, mixed) / RationalFunction(pure)
+    assert [m for _f, m in whole.factors] == [1] and len(by_step.factors) == 2
+    with pytest.raises(ExpansionError):
+        reference_expand(whole, 5)
+    got = expansion(expand, whole, 5)
+    assert got is not None
+    assert got == expansion(expand, by_step, 5) == expansion(reference_expand, by_step, 5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(LAURENTS, st.tuples(st.integers(1, 4), st.integers(-4, 4)), st.integers(-4, 12))
+def test_truncated_divide_is_the_geometric_sum(p, m, last):
+    terms = {e: c for e, c in p.terms.items() if e[0] <= last}
+    want = {}
+    # exponents start at q^-2, so no power of m above last + 4 stays in range
+    for k in range(last + 5):
+        for (x, y), c in terms.items():
+            e = (x + k * m[0], y + k * m[1])
+            if e[0] <= last:
+                want[e] = want.get(e, 0) + c
+    got = _divide_one_minus(terms, m, last)
+    assert got.terms == {e: c for e, c in want.items() if c}
 
 
 # -- bidegree series ---------------------------------------------------------
