@@ -14,7 +14,8 @@ from importlib import resources
 
 from .amplitude import AmplitudeSpec, normalize, open_amplitude
 from .partitions import EMPTY, Partition, parse_partition
-from .ring import ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, rf_equal
+from .ring import (ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, graded,
+                   rf_equal)
 
 
 @dataclass
@@ -33,14 +34,10 @@ class CheckReport:
         return out
 
 
-def _graded(determined):
-    return sorted(determined, key=lambda rs: (rs[0] + rs[1], rs))
-
-
 def positivity_check(series, q_order, refined, check_id="positivity"):
     """Expand every determined coefficient and demand nonnegative integer
     entries; one-parameter mode additionally demands no second variable."""
-    for rs in _graded(series.determined):
+    for rs in graded(series.determined):
         rf = series.coeffs.get(rs)
         if rf is None:
             continue
@@ -68,7 +65,7 @@ def support_check(zhat, alpha, gamma, check_id="support"):
     either within total degree |alpha|+|gamma| or at positive fiber degree;
     the degree-(0,0) leading term is exempt."""
     bound = alpha.size + gamma.size
-    for rs in _graded(zhat.determined):
+    for rs in graded(zhat.determined):
         if rs == (0, 0):
             continue
         rf = zhat.coeffs.get(rs)
@@ -108,7 +105,7 @@ def fixture_compare(fixture, computed, check_id=None):
     check_id = check_id or f"fixture:{fixture['id']}"
     if fixture["kind"] == "kahler":
         expected = KahlerSeries.from_json(fixture["expected"])
-        for rs in _graded(expected.determined):
+        for rs in graded(expected.determined):
             if not computed.is_determined(*rs):
                 return CheckReport(check_id, "fail",
                                    witness=f"coefficient {rs} not determined")

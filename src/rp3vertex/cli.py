@@ -15,7 +15,7 @@ from dataclasses import replace
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .analysis import SuiteRunner, summary_table
 from .partitions import parse_partition
-from .ring import ExpansionError, expand, rf_equal
+from .ring import ExpansionError, expand, graded, rf_equal
 
 DEFAULT_CUTOFF_CEILING = 4
 
@@ -36,6 +36,12 @@ def emit_text(series):
 def _spec_from_args(args):
     alpha = parse_partition(args.alpha)
     gamma = parse_partition(args.gamma)
+    for flag, color in (("--alpha", alpha), ("--gamma", gamma)):
+        # a row [n] is an n x n Jacobi-Trudi determinant: the same ceiling
+        # keeps the color sizes at desk scale too
+        if color.size > args.max_cutoff:
+            raise ValueError(f"{flag} color has {color.size} boxes, above ceiling "
+                             f"{args.max_cutoff} (raise with --max-cutoff)")
     geometry = args.geometry.replace("-", "_")
     return AmplitudeSpec(geometry=geometry, alpha=alpha, gamma=gamma,
                          refined=args.refined, cutoff=args.cutoff)
@@ -142,7 +148,7 @@ def cmd_compare(args, parser):
         refined = _series(replace(spec, refined=True), args.raw)[0]
         reduced = refined.substitute_t_eq_q()
         lines = []
-        for rs in sorted(regular.determined, key=lambda rs: (rs[0] + rs[1], rs)):
+        for rs in graded(regular.determined):
             a = regular.coeffs.get(rs)
             b = reduced.coeffs.get(rs)
             if a is None and b is None:

@@ -1,19 +1,20 @@
 """Young diagrams and the integer statistics the vertex formulas consume.
 
-Parts index rows: parts[i] is the length of row i (1-based rows in the
-cell coordinates below).  Conjugation flips rows and columns, so callers
-that think in column heights just conjugate at the boundary.
+A partition is a tuple of row lengths: self[i - 1] is the length of row i
+(1-based rows in the cell coordinates below).  Conjugation flips rows and
+columns, so callers that think in column heights just conjugate at the
+boundary.
 """
 
 from functools import cache
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers; () is the empty diagram."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -22,55 +23,37 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative, got {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return super().__new__(cls, parts)
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self):
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __bool__(self):
-        return bool(self.parts)
+        return "[" + ",".join(str(p) for p in self) + "]"
 
     def part(self, i):
         """Row length at 1-based index i; 0 beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def norm_sq(self):
-        return sum(p * p for p in self.parts)
+        return sum(p * p for p in self)
 
     @property
     def kappa(self):
         """Framing statistic: sum of p_i (p_i - 2i + 1) = 2 sum over cells of (j - i)."""
-        return sum(p * (p - 2 * i - 1) for i, p in enumerate(self.parts))
+        return sum(p * (p - 2 * i - 1) for i, p in enumerate(self))
 
     def conjugate(self):
-        if not self.parts:
+        if not self:
             return Partition()
-        w = self.parts[0]
+        w = self[0]
         cols = [0] * w
-        for p in self.parts:
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
@@ -81,7 +64,7 @@ class Partition:
 
     def cells(self):
         """All (row, col) cells, 1-based, row-major order."""
-        return [(i, j) for i, p in enumerate(self.parts, 1) for j in range(1, p + 1)]
+        return [(i, j) for i, p in enumerate(self, 1) for j in range(1, p + 1)]
 
     def arm(self, i, j):
         """Cells strictly to the right of (i, j) in its row."""
@@ -89,7 +72,7 @@ class Partition:
 
     def leg(self, i, j):
         """Cells strictly below (i, j) in its column (the transposed arm)."""
-        return sum(1 for p in self.parts[i:] if p >= j)
+        return sum(1 for p in self[i:] if p >= j)
 
 
 EMPTY = Partition()

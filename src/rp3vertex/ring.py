@@ -18,6 +18,7 @@ denominators that are products of factors 1 - q^a t^b with a >= 0.  Every
 polynomial a value is divided by is normalized by `RationalFunction._over`.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -85,7 +86,7 @@ class Laurent:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset((e, Fraction(c)) for e, c in self.terms.items()))
+            h = hash(frozenset(self.terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -680,7 +681,7 @@ class ExpansionError(ValueError):
     """A denominator cannot be inverted as a series in the expansion variable."""
 
 
-class QSeries:
+class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
     """Truncated expansion in one variable with Laurent-polynomial coefficients
     in the other, after extraction of an overall monomial prefactor.
 
@@ -689,18 +690,11 @@ class QSeries:
     inclusive doubled bound on stored main exponents.
     """
 
-    __slots__ = ("prefactor", "coeffs", "order", "var")
+    __slots__ = ()
 
-    def __init__(self, prefactor, coeffs, order, var="q"):
-        object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "coeffs", {
-            qe: dict(poly) for qe, poly in coeffs.items() if poly
-        })
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+    def __new__(cls, prefactor, coeffs, order, var="q"):
+        coeffs = {qe: dict(poly) for qe, poly in coeffs.items() if poly}
+        return super().__new__(cls, prefactor, coeffs, order, var)
 
     def coeff(self, qe_doubled):
         return dict(self.coeffs.get(qe_doubled, {}))
@@ -898,7 +892,12 @@ def substitute_t_eq_q(rf):
     return RationalFunction.of(rf).substitute_t_eq_q()
 
 
-class KahlerSeries:
+def graded(bidegrees):
+    """Bidegrees (r, s) in graded order: by total degree r + s, then by r."""
+    return sorted(bidegrees, key=lambda rs: (rs[0] + rs[1], rs))
+
+
+class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
     """Series in the two gluing weights, truncated at a total-degree cutoff.
 
     coeffs holds the nonzero coefficients; determined records which bidegrees
@@ -906,28 +905,24 @@ class KahlerSeries:
     is beyond the truncation).
     """
 
-    __slots__ = ("cutoff", "coeffs", "determined")
+    __slots__ = ()
 
-    def __init__(self, cutoff, coeffs=None, determined=None):
+    def __new__(cls, cutoff, coeffs=None, determined=None):
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        object.__setattr__(self, "cutoff", cutoff)
         clean = {}
         for rs, c in (coeffs or {}).items():
             c = RationalFunction.of(c)
             if not c.is_zero():
                 clean[rs] = c
-        object.__setattr__(self, "coeffs", clean)
         if determined is None:
             determined = {(r, s) for r in range(cutoff + 1)
                           for s in range(cutoff + 1 - r)}
-        object.__setattr__(self, "determined", frozenset(determined))
-        missing = set(clean) - self.determined
+        determined = frozenset(determined)
+        missing = set(clean) - determined
         if missing:
             raise ValueError(f"nonzero coefficients outside determined set: {missing}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KahlerSeries is immutable")
+        return super().__new__(cls, cutoff, clean, determined)
 
     def coeff(self, r, s):
         """The (r, s) coefficient; raises KeyError beyond the determined set."""
@@ -939,7 +934,7 @@ class KahlerSeries:
         return (r, s) in self.determined
 
     def support(self):
-        return sorted(self.coeffs, key=lambda rs: (rs[0] + rs[1], rs))
+        return graded(self.coeffs)
 
     def map_coeffs(self, fn):
         return KahlerSeries(self.cutoff,
@@ -951,13 +946,6 @@ class KahlerSeries:
 
     def swap_qt(self):
         return self.map_coeffs(lambda c: c.swap_qt())
-
-    def __eq__(self, other):
-        if not isinstance(other, KahlerSeries):
-            return NotImplemented
-        if self.cutoff != other.cutoff or self.determined != other.determined:
-            return False
-        return self.equal_through(other, self.cutoff) is None
 
     def equal_through(self, other, degree):
         """First differing bidegree with r+s <= degree, or None when equal."""
@@ -974,7 +962,7 @@ class KahlerSeries:
 
     def to_json(self):
         entries = []
-        for rs in sorted(self.determined, key=lambda rs: (rs[0] + rs[1], rs)):
+        for rs in graded(self.determined):
             entries.append({
                 "r": rs[0], "s": rs[1],
                 "coeff": self.coeffs.get(rs, RF_ZERO).to_json(),

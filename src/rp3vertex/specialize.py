@@ -6,41 +6,26 @@ geometric tail whose ratio is a pure power of one variable, which keeps
 every complete homogeneous value an exact rational function.
 """
 
+from collections import namedtuple
+
 from .partitions import EMPTY
 from .ring import Laurent, RationalFunction, RF_ONE, RF_ZERO
 
 
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "prefix tail_start tail_ratio")):
     """prefix monomials then tail_start * tail_ratio^k for k >= 0.
 
     Monomials are doubled (q-exp, t-exp) pairs with unit coefficient; the
     ratio must be a positive pure power of q or t so tails have closed forms.
     """
 
-    __slots__ = ("prefix", "tail_start", "tail_ratio")
+    __slots__ = ()
 
-    def __init__(self, prefix, tail_start, tail_ratio):
+    def __new__(cls, prefix, tail_start, tail_ratio):
         rq, rt = tail_ratio
         if not ((rq > 0 and rt == 0) or (rq == 0 and rt > 0)):
             raise ValueError(f"tail ratio must be a positive pure power, got {tail_ratio}")
-        object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "tail_start", tuple(tail_start))
-        object.__setattr__(self, "tail_ratio", (rq, rt))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Alphabet)
-                and self.prefix == other.prefix
-                and self.tail_start == other.tail_start
-                and self.tail_ratio == other.tail_ratio)
-
-    def __hash__(self):
-        return hash((self.prefix, self.tail_start, self.tail_ratio))
-
-    def __repr__(self):
-        return f"Alphabet(prefix={self.prefix}, start={self.tail_start}, ratio={self.tail_ratio})"
+        return super().__new__(cls, tuple(prefix), tuple(tail_start), (rq, rt))
 
     @property
     def main_var(self):
@@ -67,7 +52,7 @@ def principal(main, shift=EMPTY, shift_var=None):
     if shift_var is None:
         shift_var = main
     prefix = []
-    for i, part in enumerate(shift.parts, 1):
+    for i, part in enumerate(shift, 1):
         main_e = 2 * i - 1
         shift_e = -2 * part
         if shift_var == main:
@@ -75,7 +60,7 @@ def principal(main, shift=EMPTY, shift_var=None):
         else:
             e = (shift_e, main_e) if main == "t" else (main_e, shift_e)
         prefix.append(e)
-    ell = len(shift.parts)
+    ell = len(shift)
     start = (2 * ell + 1, 0) if main == "q" else (0, 2 * ell + 1)
     ratio = (2, 0) if main == "q" else (0, 2)
     return Alphabet(prefix, start, ratio)

@@ -90,6 +90,12 @@ def test_usage_errors(capsys, monkeypatch):
         ["check", "--max-q-order", "30"],
         ["expand", "--alpha", "[1]", "--coeff", "1,0", "--max-q-order", "30"],
         ["check", "--fixtures-dir", "/nonexistent"],
+        ["compute", "--alpha", "[99999999999999999999]"],
+        ["compute", "--alpha", "[1000000]"],
+        ["compute", "--alpha", "[5]", "--refined"],
+        ["compute", "--alpha", "[2]", "--cutoff", "1", "--max-cutoff", "1"],
+        ["expand", "--gamma", "[1,1,1,1,1]", "--coeff", "1,0"],
+        ["compare", "--alpha", "[1]", "--gamma", "[20]", "--mode", "geometries"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -106,6 +112,14 @@ def test_ceiling_override(capsys):
     code, _ = run_cli(capsys, "compute", "--alpha", "[1]", "--cutoff", "5",
                       "--max-cutoff", "5")
     assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["compute", "--alpha", "[5]", "--cutoff", "1"])
+    assert err.value.code == 2
+    assert "--alpha color has 5 boxes, above ceiling 4" in capsys.readouterr().err
+    code, out = run_cli(capsys, "compute", "--alpha", "[5]", "--cutoff", "1",
+                        "--max-cutoff", "5")
+    assert code == 0
+    assert out.startswith("(0,0): ")
 
 
 def test_check_subset_exit_zero(capsys):

@@ -30,6 +30,16 @@ def test_trailing_zeros_dropped():
     assert Partition([3, 1, 0, 0]) == Partition([3, 1])
 
 
+def test_value_contract():
+    a, b = Partition([2, 1, 0]), Partition([2, 1])
+    assert hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+    for name in ("size", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 3)
+    assert (repr(a), str(a)) == ("Partition([2, 1])", "[2,1]")
+
+
 def test_conjugation_involution_and_kappa_up_to_12():
     for nu in enumerate_up_to(12):
         nut = nu.conjugate()

@@ -680,6 +680,40 @@ def test_kahler_series_contract():
     assert z.coeff(1, 1).is_zero()
 
 
+def test_value_types_are_immutable():
+    ser = expand(qh / (1 - q), 4)
+    z = series(2, {(0, 0): one})
+    for value, name in ((ser, "order"), (ser, "coeff"), (ser, "extra"),
+                        (z, "cutoff"), (z, "coeffs"), (z, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_kahler_series_equality():
+    # equal values in different unreduced forms: the coefficients compare
+    # cross-multiplied
+    reduced = q / (1 - q ** 2)
+    unreduced = q * (1 - q) / ((1 - q) * (1 - q ** 2))
+    assert reduced.factors != unreduced.factors
+    a = series(2, {(0, 0): one, (1, 0): reduced})
+    b = series(2, {(0, 0): one, (1, 0): unreduced})
+    assert a == b and not a != b
+    assert a != series(2, {(0, 0): one, (1, 0): q / (1 - q)})
+    assert a != series(2, {(0, 0): one, (0, 1): reduced})
+    # the same coefficients with another determined set differ
+    on_axis = {(0, 0), (1, 0), (2, 0)}
+    axis = KahlerSeries(2, {(0, 0): one, (1, 0): reduced}, on_axis)
+    assert axis != a
+    assert axis == KahlerSeries(2, {(0, 0): one, (1, 0): unreduced}, on_axis)
+
+
+def test_laurent_hash_agrees_with_equality():
+    a = Laurent({(0, 0): 2, (2, 0): Fraction(1, 2)})
+    b = Laurent({(0, 0): Fraction(2), (2, 0): Fraction(1, 2)})
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+
+
 def test_kahler_json_roundtrip():
     z = series(2, {(0, 0): one, (1, 0): q / (1 - q), (0, 2): th / (1 - t)})
     back = KahlerSeries.from_json(json.loads(json.dumps(z.to_json())))

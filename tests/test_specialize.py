@@ -36,6 +36,20 @@ def test_alphabet_contract():
     b = principal("t", Partition([1]), "q")
     assert b.letter(1) == (-2, 1)     # t^(1/2) q^(-1)
     assert b.letter(2) == (0, 3)
+    for name in ("prefix", "main_var", "size"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, ())
+
+
+def test_skew_cache_key_is_the_value():
+    from rp3vertex.specialize import _SKEW_CACHE
+    nu, lam = Partition([2, 1]), Partition([2, 1])
+    a, b = principal("t", nu, "q"), principal("t", nu, "q")
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    got = skew_schur(lam, EMPTY, a)
+    assert _SKEW_CACHE[(lam, EMPTY, b)] is got
+    assert skew_schur(Partition([2, 1, 0]), EMPTY, b) is got
 
 
 def test_complete_homogeneous_examples():

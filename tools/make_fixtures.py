@@ -18,7 +18,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rp3vertex.ring import KahlerSeries, RationalFunction
+from rp3vertex.ring import KahlerSeries, Laurent, RationalFunction
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "rp3vertex", "fixtures")
 
@@ -27,68 +27,26 @@ t = RationalFunction.monomial(0, 2)
 qh = RationalFunction.monomial(1, 0)
 th = RationalFunction.monomial(0, 1)
 one = RationalFunction.one()
-zero = RationalFunction.zero()
-
-
-class P:
-    """Tiny integer t-polynomial for literal transcription of the lists."""
-
-    def __init__(self, c):
-        self.c = dict(c) if isinstance(c, dict) else {0: c}
-        self.c = {e: v for e, v in self.c.items() if v}
-
-    def __add__(self, other):
-        other = other if isinstance(other, P) else P(other)
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return P(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return P({e: v * other for e, v in self.c.items()})
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
-        return P(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = P(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-
-T = P({1: 1})
+T = Laurent.monomial(0, 2)
 
 
 def kahler_json(entries, cutoff=3):
-    coeffs = {}
-    determined = {(r, s) for r in range(cutoff + 1) for s in range(cutoff + 1 - r)}
-    for rs, v in entries.items():
-        if not v.is_zero():
-            coeffs[rs] = v
-    return KahlerSeries(cutoff, coeffs, determined).to_json()
+    return KahlerSeries(cutoff, entries).to_json()
 
 
 def qexp_json(entries):
-    """entries: list over printed q powers of int | P; canonical shift."""
+    """entries: list over printed q powers of int | Laurent in T; canonical shift."""
     table = {}
     for k, e in enumerate(entries):
-        poly = e if isinstance(e, P) else P(e)
-        if poly.c:
-            table[k] = poly.c
+        poly = e if isinstance(e, Laurent) else Laurent.const(e)
+        if poly:
+            table[k] = {te: v for (_qe, te), v in poly.terms.items()}
     qmin = min(table)
-    tmin = min(e for poly in table.values() for e in poly)
+    tmin = min(te for poly in table.values() for te in poly)
     coeffs = []
     for k in sorted(table):
-        poly = [{"te": 2 * (e - tmin), "num": str(v), "den": "1"}
-                for e, v in sorted(table[k].items())]
+        poly = [{"te": te - tmin, "num": str(v), "den": "1"}
+                for te, v in sorted(table[k].items())]
         coeffs.append({"qe": 2 * (k - qmin), "poly_t": poly})
     order = 2 * (max(table) - qmin)
     return {"prefactor": None, "order": order, "var": "q", "coeffs": coeffs}
