@@ -9,6 +9,11 @@ Conventions fixed here and validated against the display fixtures:
   internally.
 * Each trivalent building block enters as the displayed product (the
   coupled inner sum collapsed to its leading term).
+* On the fiber legs lam and beta the signs, framings and monomials collapse
+  to (q/t)^(|lam|/2) and (t/q)^(|beta|/2), so Z(r,s) is the sum over
+  |nu1|+|nu2| = r of E1(alpha,gamma,nu1) E2(nu2) F(nu1,nu2,s), where F is
+  sum_k (q/t)^((2k-s)/2) U_k U_(s-k), U_k = sum_{lam |- k} s_lam(t^-rho q^-nu1)
+  s_lam(q^-rho t^-nu2).  Only E1 sees the colors; U and F are built once.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -23,7 +28,7 @@ Conventions fixed here and validated against the display fixtures:
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import EMPTY, Partition, enumerate_up_to
+from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from .ring import KahlerSeries, RationalFunction, series_divide
 from .specialize import macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
@@ -127,6 +132,35 @@ def _color_monomial(alpha, gamma, refined):
     return _mono(e - gamma.size, -e + alpha.kappa + gamma.size, refined)
 
 
+@cache
+def _edge_brane(alpha, gamma, nu1, refined):
+    """E1 (and E2 below): the edge's sign and framing, and its blocks at empty legs."""
+    return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)
+            * _c_brane(EMPTY, alpha, nu1, refined) * _c_brane_g(gamma, EMPTY, nu1, refined))
+
+
+@cache
+def _edge_plain(nu2, refined):
+    return ((-1) ** nu2.size * _framing(nu2, ("q", "t"), refined)
+            * _c_plain(EMPTY, nu2, refined) * _c_plain_g(EMPTY, nu2, refined))
+
+
+@cache
+def _cauchy(nu1, nu2, k, refined):
+    """U_k, summed term by term; its closed form h_k(x_i y_j) prints otherwise."""
+    return RationalFunction.sum_of(
+        _schur(lam, "t", nu1, "q", refined) * _schur(lam, "q", nu2, "t", refined)
+        for lam in partitions_of(k))
+
+
+@cache
+def _fiber(nu1, nu2, s, refined):
+    """F: both fiber legs, their sizes adding up to s."""
+    return RationalFunction.sum_of(
+        _mono(2 * k - s, s - 2 * k, refined) * _cauchy(nu1, nu2, k, refined)
+        * _cauchy(nu1, nu2, s - k, refined) for k in range(s + 1))
+
+
 def _open_local(alpha, gamma, refined, cutoff):
     parts = enumerate_up_to(cutoff)
     terms = {}
@@ -135,30 +169,9 @@ def _open_local(alpha, gamma, refined, cutoff):
             r = nu1.size + nu2.size
             if r > cutoff:
                 continue
-            base = ((-1) ** r * _framing(nu1, ("t", "q"), refined)
-                    * _framing(nu2, ("q", "t"), refined))
-            aside, gside = {}, {}
-            for lam in parts:
-                if lam.size + r > cutoff:
-                    continue
-                tA = (_c_brane(lam, alpha, nu1, refined)
-                      * _framing(lam, ("t", "q"), refined)
-                      * _c_plain(lam, nu2, refined))
-                aside.setdefault(lam.size, []).append(tA * (-1) ** lam.size)
-            for beta in parts:
-                if beta.size + r > cutoff:
-                    continue
-                tG = (_c_brane_g(gamma, beta, nu1, refined)
-                      * _framing(beta, ("q", "t"), refined)
-                      * _c_plain_g(beta, nu2, refined))
-                gside.setdefault(beta.size, []).append(tG * (-1) ** beta.size)
-            asums = {s: RationalFunction.sum_of(v) for s, v in aside.items()}
-            gsums = {s: RationalFunction.sum_of(v) for s, v in gside.items()}
-            for s1, av in asums.items():
-                for s2, gv in gsums.items():
-                    if r + s1 + s2 > cutoff:
-                        continue
-                    terms.setdefault((r, s1 + s2), []).append(base * av * gv)
+            edges = _edge_brane(alpha, gamma, nu1, refined) * _edge_plain(nu2, refined)
+            for s in range(cutoff - r + 1):
+                terms.setdefault((r, s), []).append(edges * _fiber(nu1, nu2, s, refined))
     strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
                                  for rs, v in terms.items()})

@@ -153,7 +153,14 @@ def load_fixtures(fixtures_dir=None):
     for name in sorted(os.listdir(path)):
         if name.endswith(".json"):
             with open(os.path.join(path, name)) as fh:
-                out.append(json.load(fh))
+                try:
+                    fx = json.load(fh)
+                except ValueError as err:
+                    raise ValueError(f"{name}: {err}") from None
+            for key, kind in (("id", str), ("kind", str), ("spec", dict), ("expected", dict)):
+                if not (isinstance(fx, dict) and isinstance(fx.get(key), kind)):
+                    raise ValueError(f"{name}: not a JSON object with a {kind.__name__} {key!r}")
+            out.append(fx)
     if not out:
         raise FileNotFoundError(f"no fixture files under {path}")
     return out

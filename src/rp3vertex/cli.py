@@ -122,7 +122,7 @@ def cmd_check(args, parser):
     _check_q_order(args, parser)
     try:
         runner = SuiteRunner(fixtures_dir=args.fixtures_dir, q_order=args.q_order)
-    except OSError as err:
+    except (OSError, ValueError) as err:
         parser.error(f"cannot read the fixtures: {err}")
     pattern = None if args.suite in ("all", "*") else args.suite
     entries = runner.run(pattern)

@@ -7,10 +7,15 @@ statistics recounted from arms and legs.  The series division's former
 form, which stores every quotient coefficient uncancelled, is kept as the
 reference for the cancelling one, and the q-expansion's former form, which
 inverts each denominator factor slice by slice and divides pure-t factors
-by long division, as the reference for the one on the 1 - m kernel.
+by long division, as the reference for the one on the 1 - m kernel.  The
+square graph's gluing sum in its former form, which sums the fiber legs
+color by color from the blocks at every internal leg, is the reference
+for the factored one.
 """
 
-from rp3vertex.partitions import EMPTY, Partition
+from rp3vertex.amplitude import (_c_brane, _c_brane_g, _c_plain, _c_plain_g,
+                                  _color_monomial, _framing)
+from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
 from rp3vertex.ring import (L_ONE, ExpansionError, KahlerSeries, Laurent, QSeries,
                             RationalFunction, _splits, canonical_series)
 
@@ -331,3 +336,42 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
         series = QSeries(series.prefactor.swap_qt(), series.coeffs,
                          series.order, "t")
     return series
+
+
+def reference_open_local(alpha, gamma, refined, cutoff):
+    """The square graph's open amplitude for internal (conjugated) colors,
+    summed over nu1, nu2 and every fiber leg lam, beta from the blocks."""
+    parts = enumerate_up_to(cutoff)
+    terms = {}
+    for nu1 in parts:
+        for nu2 in parts:
+            r = nu1.size + nu2.size
+            if r > cutoff:
+                continue
+            base = ((-1) ** r * _framing(nu1, ("t", "q"), refined)
+                    * _framing(nu2, ("q", "t"), refined))
+            aside, gside = {}, {}
+            for lam in parts:
+                if lam.size + r > cutoff:
+                    continue
+                tA = (_c_brane(lam, alpha, nu1, refined)
+                      * _framing(lam, ("t", "q"), refined)
+                      * _c_plain(lam, nu2, refined))
+                aside.setdefault(lam.size, []).append(tA * (-1) ** lam.size)
+            for beta in parts:
+                if beta.size + r > cutoff:
+                    continue
+                tG = (_c_brane_g(gamma, beta, nu1, refined)
+                      * _framing(beta, ("q", "t"), refined)
+                      * _c_plain_g(beta, nu2, refined))
+                gside.setdefault(beta.size, []).append(tG * (-1) ** beta.size)
+            asums = {s: RationalFunction.sum_of(v) for s, v in aside.items()}
+            gsums = {s: RationalFunction.sum_of(v) for s, v in gside.items()}
+            for s1, av in asums.items():
+                for s2, gv in gsums.items():
+                    if r + s1 + s2 > cutoff:
+                        continue
+                    terms.setdefault((r, s1 + s2), []).append(base * av * gv)
+    strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
+    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
+                                 for rs, v in terms.items()})

@@ -221,6 +221,26 @@ def test_normalized_matches_uncancelled_division(geometry, refined):
         assert got == reference_series_divide(opened, closed), (alpha, gamma)
 
 
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_factored_gluing_keeps_the_reference_representation(refined):
+    # the factored sum nests the fiber sums and reassociates the products;
+    # the printed form is fixed by each coefficient's numerator and factor
+    # multiset, so both must be those of the color-by-color sum, not just
+    # the value
+    from oracles import reference_open_local
+    # empty colors give the closed amplitude; an open one is what --raw prints
+    colors = [(EMPTY, EMPTY)] + [(parse_partition(a), parse_partition(g))
+                                 for a, g in DIFFERENTIAL_COLORS]
+    for alpha, gamma in colors:
+        got = open_amplitude(AmplitudeSpec(alpha=alpha, gamma=gamma,
+                                           refined=refined, cutoff=4))
+        want = reference_open_local(alpha.conjugate(), gamma.conjugate(), refined, 4)
+        assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
+        for rs, coeff in want.coeffs.items():
+            assert got.coeffs[rs].num.terms == coeff.num.terms, (alpha, gamma, rs)
+            assert got.coeffs[rs].factors == coeff.factors, (alpha, gamma, rs)
+
+
 def test_normalized_size_guard():
     # refined [1,1]x[1] at cutoff 5: numerator terms and denominator factors
     # summed over the coefficients, 4,036 over 204 when none were cancelled

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -64,7 +65,7 @@ def test_byte_identical_reruns(capsys):
     assert c == d
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys, monkeypatch, tmp_path):
     for argv in (
         ["compute", "--alpha", "1,2"],
         ["compute", "--alpha", "[2,3]"],
@@ -101,11 +102,39 @@ def test_usage_errors(capsys, monkeypatch):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+    # a malformed fixture file is named in one usage line, not a traceback
+    for text, problem in (("{}", "'id'"), ("[1,2]", "not a JSON object"),
+                          ('{"id": "x"}', "'kind'"), ("nope", "Expecting value")):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--fixtures-dir", str(tmp_path)])
+        assert err.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "bad.json" in last and problem in last, last
     monkeypatch.setenv("RP3VERTEX_FIXTURES", "/nonexistent")
     with pytest.raises(SystemExit) as err:
         main(["check"])
     assert err.value.code == 2
     assert "cannot read the fixtures" in capsys.readouterr().err
+
+
+# sha256 of `compute --output json --cutoff 4 --alpha [1,1] --gamma [1]`
+# stdout: any change of printed form, even of an equal value, shows here
+PRINTED_SHA256 = {
+    "regular": "efc1bfb8013e8986dc6dd5d090053523f5dd4c6f61a09333c8bad68bab2869ed",
+    "refined": "960abe20771ea635a41ed6482a81dda0c9c73910521290be547c72cd9eca49ce",
+    "regular-raw": "19af5e6192cacb45b7a8c7c43f3e780d88faa84c7cf4792fa6814559d496a98e",
+    "refined-raw": "40e9a096961c3bc43d6cb8d9056109a646fa104e2dd907f4c37b1e59106777e4",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRINTED_SHA256))
+def test_compute_json_bytes_pinned(capsys, case):
+    flags = ["--refined"] * case.startswith("refined") + ["--raw"] * case.endswith("raw")
+    code, out = run_cli(capsys, "compute", "--output", "json", "--cutoff", "4",
+                        "--alpha", "[1,1]", "--gamma", "[1]", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRINTED_SHA256[case]
 
 
 def test_ceiling_override(capsys):

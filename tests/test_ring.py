@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_expand, series_multiply
@@ -208,6 +208,30 @@ def test_sum_of_same_representation_as_reference(values):
     assert got.num.terms == want.num.terms
     assert got.factors == want.factors
     assert all(got.num.terms.values())
+
+
+def same_representation(a, b):
+    return a.num.terms == b.num.terms and a.factors == b.factors
+
+
+# A value's (num, factors) is fixed by its value and its factor multiset.
+# Products add multisets and sum_of takes their factor-wise LCM, which
+# commutes with adding a common multiset; so common factors move out of
+# sums, and products reassociate, without changing the printed form.
+
+@settings(deadline=None, max_examples=200)
+@given(rf_value_lists(), rf_values())
+@example([one / (1 - q), -one / (1 - q)], t / (1 - q * t))
+@example([q, -q], zero)
+def test_common_factor_leaves_a_sum_in_the_same_representation(values, c):
+    got = RationalFunction.sum_of([v * c for v in values])
+    assert same_representation(got, RationalFunction.sum_of(values) * c)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rf_values(), rf_values(), rf_values())
+def test_products_reassociate_in_the_same_representation(a, b, c):
+    assert same_representation((a * b) * c, a * (b * c))
 
 
 def test_sum_of_many_distinct_factors():

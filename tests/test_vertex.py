@@ -3,7 +3,10 @@ blocks of the amplitude's table, in both modes, and the edge framings.
 
 The one-parameter blocks are written out below as the reference the refined
 table must reduce to at t = q, block by block; regular mode computes them as
-that reduction, taken leaf by leaf."""
+that reduction, taken leaf by leaf.  On a fiber leg the blocks, the leg's
+framing and its sign collapse to the blocks at the empty leg times one term
+of a Cauchy sum, which is what lets the gluing sum the fiber legs once for
+every color."""
 
 import pytest
 
@@ -122,6 +125,40 @@ def test_vertex_refined_reduces_to_regular():
             want = regular(*args)
             assert rf_equal(block(*args, True).substitute_t_eq_q(), want), (block, args)
             assert rf_equal(block(*args, False), want), (block, args)
+
+
+def _leg(lam, nu1, nu2, refined):
+    """(s_lam(t^-rho q^-nu1) s_lam(q^-rho t^-nu2), framing in each order, and
+    (q/t)^(|lam|/2)); at t = q both alphabets and both framings agree."""
+    if refined:
+        x, y = principal("t", nu1, "q"), principal("q", nu2, "t")
+        frame = (framing_refined(lam, ("t", "q")), framing_refined(lam, ("q", "t")))
+        weight = RationalFunction.monomial(lam.size, -lam.size)
+    else:
+        x, y = principal("q", nu1), principal("q", nu2)
+        frame = (framing_regular(lam),) * 2
+        weight = RationalFunction.one()
+    return skew_schur(lam, EMPTY, x) * skew_schur(lam, EMPTY, y), frame, weight
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_fiber_leg_collapses_to_a_cauchy_term(refined):
+    for lam in enumerate_up_to(3):
+        for nu1 in enumerate_up_to(3):
+            for nu2 in enumerate_up_to(3):
+                schurs, (frame_a, frame_g), weight = _leg(lam, nu1, nu2, refined)
+                sign = (-1) ** lam.size
+                for color in (EMPTY, Partition([2, 1])):
+                    got = (sign * _c_brane(lam, color, nu1, refined) * frame_a
+                           * _c_plain(lam, nu2, refined))
+                    want = (_c_brane(EMPTY, color, nu1, refined)
+                            * _c_plain(EMPTY, nu2, refined) * weight * schurs)
+                    assert got == want, ("lambda", lam, nu1, nu2, color)
+                    got = (sign * _c_brane_g(color, lam, nu1, refined) * frame_g
+                           * _c_plain_g(lam, nu2, refined))
+                    want = (_c_brane_g(color, EMPTY, nu1, refined)
+                            * _c_plain_g(EMPTY, nu2, refined) / weight * schurs)
+                    assert got == want, ("beta", lam, nu1, nu2, color)
 
 
 def test_vertex_values_nonvanishing():
