@@ -101,10 +101,11 @@ def symmetry_check_tq(series, check_id="symmetry"):
 
 
 def fixture_compare(fixture, computed, check_id=None):
-    """Bit-exact comparison of a computed series against one fixture."""
+    """Bit-exact comparison of a computed series against one fixture, as
+    `load_fixtures` returns it."""
     check_id = check_id or f"fixture:{fixture['id']}"
+    expected = fixture["expected_series"]
     if fixture["kind"] == "kahler":
-        expected = KahlerSeries.from_json(fixture["expected"])
         for rs in graded(expected.determined):
             if not computed.is_determined(*rs):
                 return CheckReport(check_id, "fail",
@@ -115,7 +116,6 @@ def fixture_compare(fixture, computed, check_id=None):
         return CheckReport(check_id, "pass",
                            detail=f"{len(expected.determined)} coefficients, cutoff {expected.cutoff}")
     if fixture["kind"] == "qexp":
-        expected = QSeries.from_json(fixture["expected"])
         r, s = fixture["spec"]["coeff"]
         if not computed.is_determined(r, s):
             return CheckReport(check_id, "fail",
@@ -147,6 +147,38 @@ def fixtures_dir_default():
     return str(resources.files("rp3vertex") / "fixtures")
 
 
+# a fixture's spec fields with their types; the last two may be left out
+FIXTURE_SPEC = (("alpha", str), ("gamma", str), ("refined", bool), ("cutoff", int),
+                ("geometry", str), ("normalized", bool))
+EXPECTED_TYPES = {"kahler": KahlerSeries, "qexp": QSeries}
+
+
+def _checked_fixture(fx):
+    """fx with the spec defaults filled in and its expected value parsed
+    as a series of its kind ("expected_series"); ValueError unless the
+    suite can compute and compare it, that is, its spec makes an
+    AmplitudeSpec and its expected value parses."""
+    spec = {"geometry": "local_p1xp1", "normalized": True, **fx["spec"]}
+    for key, kind in FIXTURE_SPEC:
+        if type(spec.get(key)) is not kind:
+            raise ValueError(f"spec has no {kind.__name__} {key!r}")
+    AmplitudeSpec(geometry=spec["geometry"], alpha=parse_partition(spec["alpha"]),
+                  gamma=parse_partition(spec["gamma"]), cutoff=spec["cutoff"])
+    series = EXPECTED_TYPES.get(fx["kind"])
+    if series is None:
+        raise ValueError(f"unknown fixture kind {fx['kind']!r}")
+    coeff = spec.get("coeff")
+    if series is QSeries and not (isinstance(coeff, list) and len(coeff) == 2
+                                  and all(type(x) is int for x in coeff)):
+        raise ValueError("spec has no [r, s] 'coeff'")
+    try:
+        expected = series.from_json(fx["expected"])
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"expected is no {fx['kind']} series "
+                         f"({type(err).__name__}: {err})") from None
+    return {**fx, "spec": spec, "expected_series": expected}
+
+
 def load_fixtures(fixtures_dir=None):
     path = fixtures_dir or fixtures_dir_default()
     out = []
@@ -160,7 +192,10 @@ def load_fixtures(fixtures_dir=None):
             for key, kind in (("id", str), ("kind", str), ("spec", dict), ("expected", dict)):
                 if not (isinstance(fx, dict) and isinstance(fx.get(key), kind)):
                     raise ValueError(f"{name}: not a JSON object with a {kind.__name__} {key!r}")
-            out.append(fx)
+            try:
+                out.append(_checked_fixture(fx))
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
     if not out:
         raise FileNotFoundError(f"no fixture files under {path}")
     return out
@@ -178,6 +213,13 @@ CONJECTURE_COLORS = [
 STRUCTURE_CASES = [("[1]", "[]", 2), ("[1,1]", "[]", 3), ("[1]", "[1]", 3)]
 
 DEEP_CUTOFF = 4   # total degree of the positivity, support and structure checks
+
+
+def selects(pattern, check_id):
+    """Whether a --suite pattern selects the check: the id equals it, or
+    matches it as a glob.  Ids hold brackets, which a glob reads as a
+    character class, so only the equality selects `reduction:[1][1]`."""
+    return check_id == pattern or fnmatch.fnmatchcase(check_id, pattern)
 
 
 @dataclass
@@ -223,11 +265,11 @@ class SuiteRunner:
         return self._memo[key]
 
     def run(self, pattern=None):
-        """Entries for the checks whose id matches the glob pattern (every
-        check when it is None), in table order; only these are computed."""
+        """Entries for the checks that the pattern selects (every check when
+        it is None), in table order; only these are computed."""
         return [SuiteEntry(thunk(), expected)
                 for check_id, expected, thunk in self.table
-                if not pattern or fnmatch.fnmatch(check_id, pattern)]
+                if not pattern or selects(pattern, check_id)]
 
     def _build_table(self):
         table = []
@@ -278,8 +320,7 @@ class SuiteRunner:
         spec = fx["spec"]
         computed = self.series(
             parse_partition(spec["alpha"]), parse_partition(spec["gamma"]),
-            spec["refined"], spec["cutoff"], spec.get("geometry", "local_p1xp1"),
-            spec.get("normalized", True))
+            spec["refined"], spec["cutoff"], spec["geometry"], spec["normalized"])
         return fixture_compare(fx, computed, check_id)
 
     def _positivity(self, alpha, gamma, refined, check_id):

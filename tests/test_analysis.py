@@ -8,7 +8,7 @@ from rp3vertex import analysis
 from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude
 from rp3vertex.analysis import (CheckReport, SuiteRunner, fixture_compare,
                                 fixtures_dir_default, load_fixtures,
-                                positivity_check, reduction_check,
+                                positivity_check, reduction_check, selects,
                                 summary_table, support_check,
                                 symmetry_check_tq)
 from rp3vertex.partitions import EMPTY, Partition
@@ -152,6 +152,14 @@ def test_report_json_shape():
     doc = report.to_json()
     assert doc == {"check_id": "demo", "verdict": "fail",
                    "witness": "w", "detail": "d"}
+
+
+def test_every_check_id_selects_itself():
+    ids = [check_id for check_id, _expected, _thunk in SuiteRunner().table]
+    assert len(ids) == 96
+    for check_id in ids:
+        assert [c for c in ids if selects(check_id, c)] == [check_id]
+    assert sum(selects("positivity:*", c) for c in ids) == 14
 
 
 def test_suite_filter_and_summary():

@@ -103,8 +103,20 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         assert err.value.code == 2
         capsys.readouterr()
     # a malformed fixture file is named in one usage line, not a traceback
+    spec = '"spec": {"alpha": "[1]", "gamma": "[]", "refined": false, "cutoff": 3}'
     for text, problem in (("{}", "'id'"), ("[1,2]", "not a JSON object"),
-                          ('{"id": "x"}', "'kind'"), ("nope", "Expecting value")):
+                          ('{"id": "x"}', "'kind'"), ("nope", "Expecting value"),
+                          ('{"id": "x", "kind": "kahler", "spec": {}, "expected": {}}',
+                           "spec has no str 'alpha'"),
+                          ('{"id": "x", "kind": "kahler", %s, "expected": {}}' % spec,
+                           "expected is no kahler series (KeyError: 'terms')"),
+                          ('{"id": "x", "kind": "qexp", %s, "expected": {}}' % spec,
+                           "spec has no [r, s] 'coeff'"),
+                          ('{"id": "x", "kind": "kahler", "spec": {"alpha": "[1]", '
+                           '"gamma": "[]", "refined": 0, "cutoff": 3}, "expected": {}}',
+                           "spec has no bool 'refined'"),
+                          ('{"id": "x", "kind": "other", %s, "expected": {}}' % spec,
+                           "unknown fixture kind 'other'")):
         (tmp_path / "bad.json").write_text(text)
         with pytest.raises(SystemExit) as err:
             main(["check", "--fixtures-dir", str(tmp_path)])
@@ -163,6 +175,15 @@ def test_check_q_order_honoured(capsys):
                         "--q-order", "50")
     assert code == 0
     assert "through q-order 50" in out and "1/1 checks as expected" in out
+
+
+def test_check_selects_bracketed_ids(capsys):
+    # an exact id is selected although a glob reads its brackets as classes
+    for check_id in ("positivity:[1][]:regular", "reduction:[1][1]"):
+        code, out = run_cli(capsys, "check", "--suite", check_id)
+        assert code == 0
+        assert out.splitlines()[0].split()[1] == check_id
+        assert "1/1 checks as expected" in out
 
 
 def test_check_json_output(capsys):

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_expand, series_multiply
-from rp3vertex.ring import (ExpansionError, KahlerSeries, Laurent, QSeries,
-                            RationalFunction, _divide_one_minus, expand, rf_equal,
+from rp3vertex import ring
+from rp3vertex.ring import (_PACK_WORK, ExpansionError, KahlerSeries, Laurent, QSeries,
+                            RationalFunction, _divide_one_minus, _factor_sort_key,
+                            _lift_dict, _lift_packed, _lift_sum, expand, rf_equal,
                             series_divide)
 
 q = RationalFunction.monomial(2, 0)
@@ -388,6 +390,127 @@ def test_cancelled_equals_its_input(rf, data):
         else:
             assert have[f] == mult
     assert set(have) <= set(dict(rf.factors))
+
+
+# -- the packed and the dict lifting kernels ---------------------------------
+
+# factors with non-negative slot shifts: 1 - q^a t^b with a > 0, or a = 0 and
+# b > 0 (half-integer, mixed-sign and non-primitive steps), and other shapes
+PACKABLE_FACTORS = [Laurent({(0, 0): 1, e: -1})
+                    for e in [(2, 0), (0, 2), (2, 2), (1, 1), (2, -2), (4, -6),
+                              (0, 1), (1, 0), (6, 4), (3, -1)]]
+PACKABLE_FACTORS += [Laurent({(0, 0): 1, (2, 0): 1}),
+                     Laurent({(0, 0): 1, (2, 0): -2}),
+                     Laurent({(0, 0): 1, (2, 0): 1, (0, 2): 1}),
+                     Laurent({(0, 0): 1, (1, -3): 3, (4, 0): -1})]
+# small coefficients, and ones whose slots need more than eight bytes
+KERNEL_COEFFS = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+
+
+@st.composite
+def lift_cases(draw):
+    """(items, factors) as sum_of hands them to the lifting: distinct
+    factors, integer numerators on a box at any offset, needs 0..3, and
+    maybe the negatives of all or some of the items, so the sum cancels."""
+    factors = draw(st.lists(st.sampled_from(PACKABLE_FACTORS), max_size=4,
+                            unique_by=_factor_sort_key))
+    dq, dt = draw(st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+    nums = draw(st.lists(st.dictionaries(EXPONENTS, KERNEL_COEFFS, min_size=1,
+                                         max_size=6), min_size=1, max_size=6))
+    items = [(Laurent({(x + dq, y + dt): c for (x, y), c in num.items()}),
+              [draw(st.integers(0, 3)) for _f in factors]) for num in nums]
+    if draw(st.booleans()):
+        items += [(-num, need) for num, need in draw(st.sampled_from([items, items[:1]]))]
+        items = draw(st.permutations(items))
+    return items, factors
+
+
+def assert_kernels_agree(items, factors):
+    packed = _lift_packed(items, factors)
+    assert packed is not None
+    want = _lift_dict(items, factors)
+    assert packed.terms == want.terms
+    assert all(packed.terms.values())
+    assert _lift_sum(items, factors).terms == want.terms
+
+
+@settings(deadline=None, max_examples=300)
+@given(lift_cases())
+@example(([(Laurent({(1, 0): 1}), [2]), (Laurent({(0, 1): -1}), [2])], [one_minus((2, 0))]))
+@example(([(Laurent({(0, 0): 5}), [1]), (Laurent({(0, 0): -5}), [1])], [one_minus((0, 2))]))
+def test_packed_lift_matches_dict_lift(case):
+    assert_kernels_agree(*case)
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_packed_slots_at_the_bound(size):
+    # the bound sum |num|_1 * prod |f|_1^need is just under 2^(8 size - 1),
+    # so the slots are exactly size bytes wide
+    for k, f in ((0, one_minus((2, 0))), (3, one_minus((2, 0))),
+                 (5, one_minus((1, -1))), (2, Laurent({(0, 0): 1, (2, 0): 1, (0, 2): 1}))):
+        norm = sum(map(abs, f.terms.values())) ** k
+        c = (2 ** (8 * size - 1) - 1) // (2 * norm)
+        for sign in (1, -1):
+            items = [(Laurent({(0, 0): sign * c}), [k]), (Laurent({(1, 1): sign * c}), [0])]
+            assert_kernels_agree(items, [f])
+            assert _lift_packed(items, [f]) == Laurent.monomial(0, 0, sign * c) * f ** k \
+                + Laurent.monomial(1, 1, sign * c)
+    # a coefficient equal to the bound 2^(8 size - 1) takes one more byte
+    for sign in (1, -1):
+        assert_kernels_agree([(Laurent({(0, 0): sign * 2 ** (8 * size - 2)}), [0])] * 2,
+                             [one_minus((2, 0))])
+
+
+def test_packed_lift_declines():
+    big = [(Laurent({(x, 2 * y): x - y or 1 for x in range(30) for y in range(30)}), [3]),
+           (Laurent({(1, 1): 2}), [0])]
+    # 901 numerator terms times 3 factor steps: above the packing threshold
+    assert 901 * 3 >= _PACK_WORK
+    for items, factors in (
+            # a coefficient that is no int
+            ([(Laurent({(0, 0): Fraction(1, 2)}), [3])] + big, [one_minus((2, 0))]),
+            (big, [Laurent({(0, 0): 1, (2, 0): Fraction(1, 3)})]),
+            # a factor term with a negative slot shift: a < 0, or a = 0 and b < 0
+            (big, [one_minus((-2, 4))]),
+            (big, [one_minus((0, -2))])):
+        assert _lift_packed(items, factors) is None
+        # so _lift_sum takes the dict kernel, whatever the work estimate
+        want = Laurent()
+        for num, need in items:
+            want = want + num * factors[0] ** need[0]
+        assert _lift_sum(items, factors).terms == want.terms
+
+
+def test_compute_sums_agree_on_both_kernels(monkeypatch):
+    """Every sum of a refined cutoff-4 [1,1]x[1] normalized compute, from a
+    cold start, through both kernels."""
+    from rp3vertex import amplitude, partitions, specialize, vertex
+    from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude
+    from rp3vertex.partitions import parse_partition
+
+    counts = {"sums": 0, "packed": 0}
+
+    def both(items, factors):
+        want = _lift_dict(items, factors)
+        packed = _lift_packed(items, factors)
+        counts["sums"] += 1
+        if packed is not None:
+            counts["packed"] += 1
+            assert packed.terms == want.terms
+        return want
+
+    monkeypatch.setattr(ring, "_lift_sum", both)
+    for module in (amplitude, partitions, specialize, vertex):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    specialize._H_CACHE.clear()
+    specialize._SKEW_CACHE.clear()
+    normalized_amplitude(AmplitudeSpec(alpha=parse_partition("[1,1]"),
+                                       gamma=parse_partition("[1]"),
+                                       refined=True, cutoff=4))
+    # the engine's sums all have integer coefficients and packable factors
+    assert counts["sums"] > 100 and counts["packed"] == counts["sums"]
 
 
 def test_substitute_t_eq_q_examples():
