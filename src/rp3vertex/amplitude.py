@@ -12,8 +12,15 @@ Conventions fixed here and validated against the display fixtures:
 * On the fiber legs lam and beta the signs, framings and monomials collapse
   to (q/t)^(|lam|/2) and (t/q)^(|beta|/2), so Z(r,s) is the sum over
   |nu1|+|nu2| = r of E1(alpha,gamma,nu1) E2(nu2) F(nu1,nu2,s), where F is
-  sum_k (q/t)^((2k-s)/2) U_k U_(s-k), U_k = sum_{lam |- k} s_lam(t^-rho q^-nu1)
-  s_lam(q^-rho t^-nu2).  Only E1 sees the colors; U and F are built once.
+  sum_k w^(2k-s) U_k U_(s-k), w = (q/t)^(1/2), U_k = sum_{lam |- k} s_lam(x)
+  s_lam(y), x = t^-rho q^-nu1, y = q^-rho t^-nu2.  By the Cauchy identity
+  prod 1/(1 - Q x_i y_j) is its value at empty edges times prod 1/(1 - Q b)
+  over the box alphabet B(nu1,nu2), so F(nu1,nu2,s) = sum_a F0_a h_(s-a)(B_w),
+  F0 = F(0,0,.), B_w = wB + B/w, and Z(r,s) = sum_a F0_a G(r,s-a) with the
+  color-dependent G(r,n) = sum_{|nu1|+|nu2|=r} E1 E2 h_n(B_w), h_n a Laurent
+  polynomial.  Sums take the factor-wise LCM and never cancel, so both
+  groupings carry LCM_nu fac(E1 E2) + LCM_(a<=s) fac(F0_a), hence one printed
+  form.  U_k(0,0) stays a Schur sum; hook forms would print other factors.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -30,7 +37,7 @@ from functools import cache
 
 from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from .ring import KahlerSeries, RationalFunction, series_divide
-from .specialize import macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
+from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
 
 GEOMETRIES = ("local_p1xp1", "resolved_conifold")
@@ -146,35 +153,50 @@ def _edge_plain(nu2, refined):
 
 
 @cache
-def _cauchy(nu1, nu2, k, refined):
-    """U_k, summed term by term; its closed form h_k(x_i y_j) prints otherwise."""
+def _cauchy0(k, refined):
+    """U_k at empty base edges, summed term by term."""
     return RationalFunction.sum_of(
-        _schur(lam, "t", nu1, "q", refined) * _schur(lam, "q", nu2, "t", refined)
+        _schur(lam, "t", EMPTY, "q", refined) * _schur(lam, "q", EMPTY, "t", refined)
         for lam in partitions_of(k))
 
 
 @cache
-def _fiber(nu1, nu2, s, refined):
-    """F: both fiber legs, their sizes adding up to s."""
+def _fiber0(s, refined):
+    """F0_s: both fiber legs at empty base edges, their sizes adding up to s."""
     return RationalFunction.sum_of(
-        _mono(2 * k - s, s - 2 * k, refined) * _cauchy(nu1, nu2, k, refined)
-        * _cauchy(nu1, nu2, s - k, refined) for k in range(s + 1))
+        _mono(2 * k - s, s - 2 * k, refined) * _cauchy0(k, refined)
+        * _cauchy0(s - k, refined) for k in range(s + 1))
+
+
+def _boxes(nu1, nu2):
+    """B(nu1, nu2) in doubled exponents: prod(1 - Q x_i y_j) at the base
+    edges nu1, nu2 is its value at empty edges times prod(1 - Q b)."""
+    nu1t, nu2t = nu1.conjugate(), nu2.conjugate()
+    return ([(-2 * (nu1.part(i) - j) - 1, 2 * (i - nu2.part(j)) - 1) for i, j in nu1.cells()]
+            + [(2 * (nu2t.part(j) - i) + 1, 2 * (nu1t.part(i) - j) + 1)
+               for i, j in nu2.cells()])
+
+
+@cache
+def _box_h(nu1, nu2, n, refined):
+    """h_0..h_n of B_w = wB + B/w, w = (q/t)^(1/2): B twice at t = q."""
+    letters = [(eq + d, et - d) for eq, et in _boxes(nu1, nu2) for d in (1, -1)]
+    return tuple(finite_h(letters if refined else [(eq + et, 0) for eq, et in letters], n))
 
 
 def _open_local(alpha, gamma, refined, cutoff):
-    parts = enumerate_up_to(cutoff)
-    terms = {}
-    for nu1 in parts:
-        for nu2 in parts:
+    g = {}
+    for nu1 in enumerate_up_to(cutoff):
+        e1 = _edge_brane(alpha, gamma, nu1, refined)
+        for nu2 in enumerate_up_to(cutoff - nu1.size):
             r = nu1.size + nu2.size
-            if r > cutoff:
-                continue
-            edges = _edge_brane(alpha, gamma, nu1, refined) * _edge_plain(nu2, refined)
-            for s in range(cutoff - r + 1):
-                terms.setdefault((r, s), []).append(edges * _fiber(nu1, nu2, s, refined))
+            edges = e1 * _edge_plain(nu2, refined)
+            for n, h in enumerate(_box_h(nu1, nu2, cutoff - r, refined)):
+                g.setdefault((r, n), []).append(edges * h)
+    g = {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
     strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
-    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
-                                 for rs, v in terms.items()})
+    return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
+        _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) * strip for r, s in g})
 
 
 def _conifold(alpha, gamma, refined, cutoff):

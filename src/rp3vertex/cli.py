@@ -56,6 +56,8 @@ def _series(spec, raw):
 
 
 def _check_cutoff(args, parser):
+    if args.max_cutoff < 0:
+        parser.error(f"--max-cutoff must be nonnegative, got {args.max_cutoff}")
     if args.cutoff > args.max_cutoff:
         parser.error(f"cutoff {args.cutoff} above ceiling {args.max_cutoff} "
                      f"(raise with --max-cutoff)")

@@ -543,13 +543,13 @@ def _unpack(total, box, size):
 # Work estimate at which `_lift_sum` packs.  The dict kernel makes about one
 # dict operation per numerator term per factor step; the packed one has a
 # fixed setup, one Python step per numerator term and per box slot, and big
-# integer steps in C.  Timed one by one on the 3,049 sums that the three
-# perfbench workloads make at seed 1, the dict kernel is faster on most
-# sums below 4096 (about 5x below 64), but the packed one is up to 12x
-# faster on the largest.  Summed per workload, packing from 2048 on is
-# within 5% of the best threshold on refined_deep (3.7x faster than dicts
-# alone) and suite, and 3% faster than dicts alone on regular_deep, where
-# packing from 512 on is 7% slower than dicts alone.
+# integer steps in C.  Timed one by one on the 1,593 sums that the three
+# perfbench workloads make at seed 1 (suite 861, refined_deep 239,
+# regular_deep 493), dicts are faster on 93-98% of the packable sums below
+# 4096, but packing is up to 14x faster on the largest.  Summed per workload,
+# packing from 2048 on is within 5% of the best threshold on each (1024 on
+# suite, 256 on refined_deep, 4096 on regular_deep) and no threshold beats it
+# on all three; it is 3x, 14% and 8% faster than dicts alone on them.
 _PACK_WORK = 2048
 
 

@@ -66,6 +66,17 @@ def principal(main, shift=EMPTY, shift_var=None):
     return Alphabet(prefix, start, ratio)
 
 
+def finite_h(letters, k):
+    """[h_0, ..., h_k] of the unit monomials with the given doubled exponents:
+    each letter m adds m h_(j-1) to every h_j, j rising, so no term cancels."""
+    hs = [{(0, 0): 1}] + [{} for _ in range(k)]
+    for (eq, et) in letters:
+        for lower, h in zip(hs, hs[1:]):
+            for (a, b), c in lower.items():
+                h[a + eq, b + et] = h.get((a + eq, b + et), 0) + c
+    return [Laurent._of(h) for h in hs]
+
+
 _H_CACHE = {}
 
 
@@ -80,12 +91,7 @@ def complete_homogeneous(k, alphabet):
     if cached is not None:
         return cached
 
-    # prefix part: iteratively extend h_0..h_k one letter at a time
-    hs = [Laurent.const(1)] + [Laurent() for _ in range(k)]
-    for (eq, et) in alphabet.prefix:
-        for j in range(1, k + 1):
-            hs[j] = hs[j] + hs[j - 1].shift(eq, et)
-
+    hs = finite_h(alphabet.prefix, k)
     sq, st = alphabet.tail_start
     rq, rt = alphabet.tail_ratio
     terms = []

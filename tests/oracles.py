@@ -10,12 +10,16 @@ inverts each denominator factor slice by slice and divides pure-t factors
 by long division, as the reference for the one on the 1 - m kernel.  The
 square graph's gluing sum in its former form, which sums the fiber legs
 color by color from the blocks at every internal leg, is the reference
-for the factored one.
+for the factored one, and its former fiber sum, which sums both fiber
+legs from the Schur values at every pair of base edges, the reference for
+the closed fiber kernel.
 """
 
+from functools import cache
+
 from rp3vertex.amplitude import (_c_brane, _c_brane_g, _c_plain, _c_plain_g,
-                                  _color_monomial, _framing)
-from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
+                                  _color_monomial, _framing, _mono, _schur)
+from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, ExpansionError, KahlerSeries, Laurent, QSeries,
                             RationalFunction, _splits, canonical_series)
 
@@ -375,3 +379,20 @@ def reference_open_local(alpha, gamma, refined, cutoff):
     strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
                                  for rs, v in terms.items()})
+
+
+@cache
+def reference_cauchy(nu1, nu2, k, refined):
+    """U_k = sum over lam |- k of s_lam(t^-rho q^-nu1) s_lam(q^-rho t^-nu2),
+    summed term by term."""
+    return RationalFunction.sum_of(
+        _schur(lam, "t", nu1, "q", refined) * _schur(lam, "q", nu2, "t", refined)
+        for lam in partitions_of(k))
+
+
+def reference_fiber(nu1, nu2, s, refined):
+    """F(nu1, nu2, s) = sum_k (q/t)^((2k-s)/2) U_k U_(s-k): both fiber legs
+    at the base edges nu1, nu2, their sizes adding up to s."""
+    return RationalFunction.sum_of(
+        _mono(2 * k - s, s - 2 * k, refined) * reference_cauchy(nu1, nu2, k, refined)
+        * reference_cauchy(nu1, nu2, s - k, refined) for k in range(s + 1))

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import pytest
 
-from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, closed_amplitude,
-                                 normalize, normalized_amplitude, open_amplitude)
-from rp3vertex.partitions import EMPTY, Partition, parse_partition, partitions_of
+from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
+                                 _fiber0, closed_amplitude, normalize,
+                                 normalized_amplitude, open_amplitude)
+from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
+                                  partitions_of)
 from rp3vertex.ring import RationalFunction, rf_equal
-from rp3vertex.specialize import principal, skew_schur
+from rp3vertex.specialize import finite_h, principal, skew_schur
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -239,6 +241,46 @@ def test_factored_gluing_keeps_the_reference_representation(refined):
         for rs, coeff in want.coeffs.items():
             assert got.coeffs[rs].num.terms == coeff.num.terms, (alpha, gamma, rs)
             assert got.coeffs[rs].factors == coeff.factors, (alpha, gamma, rs)
+
+
+def _base_edges(bound):
+    """Every pair of base edges (nu1, nu2) with |nu1| + |nu2| <= bound."""
+    return [(nu1, nu2) for nu1 in enumerate_up_to(bound)
+            for nu2 in enumerate_up_to(bound - nu1.size)]
+
+
+@pytest.mark.parametrize("refined,bound", [(False, 6), (True, 5)],
+                         ids=["regular", "refined"])
+def test_closed_fiber_kernel_keeps_the_reference_representation(refined, bound):
+    # F(nu1, nu2, s) = sum_a F0_a h_(s-a)(B_w) must carry the numerator and
+    # factor multiset of the Schur sum at the shifted alphabets, not just
+    # its value: that is what keeps the regrouped gluing's printed forms
+    from oracles import reference_fiber
+    for nu1, nu2 in _base_edges(bound):
+        n = bound - nu1.size - nu2.size
+        hs = _box_h(nu1, nu2, n, refined)
+        for s in range(n + 1):
+            got = RationalFunction.sum_of(_fiber0(a, refined) * hs[s - a]
+                                          for a in range(s + 1))
+            want = reference_fiber(nu1, nu2, s, refined)
+            assert got.num.terms == want.num.terms, (nu1, nu2, s)
+            assert got.factors == want.factors, (nu1, nu2, s)
+
+
+@pytest.mark.parametrize("refined,bound", [(False, 6), (True, 5)],
+                         ids=["regular", "refined"])
+def test_box_alphabet_gives_the_cauchy_sum(refined, bound):
+    # sum_k U_k Q^k = prod 1/(1 - Q x_i y_j) is its value at empty edges
+    # times prod_b 1/(1 - Q b), so U_k = sum_a U_a(0,0) h_(k-a)(B)
+    from oracles import reference_cauchy
+    for nu1, nu2 in _base_edges(bound):
+        n = bound - nu1.size - nu2.size
+        letters = _boxes(nu1, nu2)
+        hs = finite_h(letters if refined else [(eq + et, 0) for eq, et in letters], n)
+        for k in range(n + 1):
+            got = RationalFunction.sum_of(_cauchy0(a, refined) * hs[k - a]
+                                          for a in range(k + 1))
+            assert got == reference_cauchy(nu1, nu2, k, refined), (nu1, nu2, k)
 
 
 def test_normalized_size_guard():

@@ -123,6 +123,12 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         assert err.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert "bad.json" in last and problem in last, last
+    # a negative ceiling is named before any color is held against it
+    with pytest.raises(SystemExit) as err:
+        main(["compute", "--max-cutoff", "-1", "--cutoff", "-1"])
+    assert err.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "--max-cutoff must be nonnegative" in last, last
     monkeypatch.setenv("RP3VERTEX_FIXTURES", "/nonexistent")
     with pytest.raises(SystemExit) as err:
         main(["check"])
@@ -147,6 +153,24 @@ def test_compute_json_bytes_pinned(capsys, case):
                         "--alpha", "[1,1]", "--gamma", "[1]", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PRINTED_SHA256[case]
+
+
+# deeper pins: every r >= 1 coefficient is a sum regrouped around the fiber
+# kernel, so these reach regrouped sums of more terms than cutoff 4 does
+DEEP_PRINTED_SHA256 = {
+    "--cutoff 6 --alpha [1] --gamma [1,1]":
+        "204f5c0777891559e3a5009363e24fbeaf0db20fd1943cff4004083cf63d76c4",
+    "--refined --cutoff 5 --alpha [1,1,1]":
+        "57a7a790b8283db8debea501a48ad3a4a7338ef6d7df08b22c49ebf5c441c602",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(DEEP_PRINTED_SHA256))
+def test_deep_compute_json_bytes_pinned(capsys, flags):
+    code, out = run_cli(capsys, "compute", "--output", "json", "--max-cutoff", "6",
+                        *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_PRINTED_SHA256[flags]
 
 
 def test_ceiling_override(capsys):

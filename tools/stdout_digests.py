@@ -1,0 +1,81 @@
+"""Print the sha256 of the stdout of a fixed list of rp3vertex commands.
+
+Usage:
+    python tools/stdout_digests.py
+
+Each command runs in this interpreter through `rp3vertex.cli.main`, from a
+cold start: every `functools.cache` of the package and the `_H_CACHE` and
+`_SKEW_CACHE` tables of `specialize` are cleared before it, so a value is
+built as a fresh process would build it.  Each line is the digest of one
+command's stdout, its exit code and its argv; the last line digests all of
+them in order.  Two checkouts print the same total exactly when every
+command prints the same bytes and exits alike, so comparing totals before
+and after a change that must keep the printed forms shows that it did.
+
+The list: `check --suite all --output json`; `compute --output json` at
+cutoff 4 for 7 alphas x 3 gammas x both modes x both geometries, each
+normalized and `--raw`; refined cutoff 7 [1,1]x[1]; one-parameter cutoff 9
+[2,1]x[1]; and the benchmark pools' colors at their deep cutoffs (refined
+6, one-parameter 8).
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from rp3vertex import amplitude, analysis, cli, partitions, ring, specialize, vertex
+
+ALPHAS = ["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,1,1]", "[3]"]
+GAMMAS = ["[]", "[1]", "[1,1]"]
+
+
+def commands():
+    yield ["check", "--suite", "all", "--output", "json"]
+    for alpha, gamma, refined, geometry, raw in itertools.product(
+            ALPHAS, GAMMAS, (False, True), ("local-p1xp1", "resolved-conifold"),
+            (False, True)):
+        yield (["compute", "--output", "json", "--cutoff", "4", "--alpha", alpha,
+                "--gamma", gamma, "--geometry", geometry]
+               + ["--refined"] * refined + ["--raw"] * raw)
+    deep = [(True, 7, "[1,1]", "[1]"), (False, 9, "[2,1]", "[1]"),
+            (True, 6, "[1,1,1]", "[]"), (True, 6, "[3]", "[]"),
+            (False, 8, "[1]", "[1,1]"), (False, 8, "[1,1,1]", "[]")]
+    for refined, cutoff, alpha, gamma in deep:
+        yield (["compute", "--output", "json", "--cutoff", str(cutoff),
+                "--max-cutoff", str(cutoff), "--alpha", alpha, "--gamma", gamma]
+               + ["--refined"] * refined)
+
+
+def cold_start():
+    for module in (amplitude, analysis, partitions, ring, specialize, vertex):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    specialize._H_CACHE.clear()
+    specialize._SKEW_CACHE.clear()
+
+
+def main():
+    total = hashlib.sha256()
+    for command in commands():
+        cold_start()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                code = cli.main(command)
+            except SystemExit as exc:
+                code = exc.code
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        line = f"{digest} {code} {' '.join(command)}"
+        total.update(line.encode() + b"\n")
+        print(line, flush=True)
+    print(f"total {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
