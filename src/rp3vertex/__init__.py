@@ -5,8 +5,7 @@ Hopf links on the square toric geometry, with the one-parameter refinement.
 from .partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                          partitions_of)
 from .ring import (ExpansionError, KahlerSeries, Laurent, QSeries,
-                   RationalFunction, expand, rf_equal, series_divide,
-                   substitute_t_eq_q)
+                   RationalFunction, expand, rf_equal, series_divide)
 from .specialize import (Alphabet, complete_homogeneous, macdonald_p_at_rho,
                          macdonald_tilde_z, principal, skew_schur)
 from .vertex import framing_refined, framing_regular
@@ -20,7 +19,6 @@ __all__ = [
     "partitions_of",
     "ExpansionError", "KahlerSeries", "Laurent", "QSeries",
     "RationalFunction", "expand", "rf_equal", "series_divide",
-    "substitute_t_eq_q",
     "Alphabet", "complete_homogeneous", "macdonald_p_at_rho",
     "macdonald_tilde_z", "principal", "skew_schur",
     "framing_refined", "framing_regular",

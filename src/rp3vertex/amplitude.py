@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
-from .ring import KahlerSeries, RationalFunction, series_divide
+from .ring import RF_ONE, KahlerSeries, RationalFunction, series_divide
 from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
 
@@ -84,7 +84,7 @@ def _tilde_z(nu, first, refined):
 
 @cache
 def _p_at_rho(nu, refined):
-    p = macdonald_p_at_rho(nu, swap=True)
+    p = macdonald_p_at_rho(nu)
     return p if refined else p.substitute_t_eq_q()
 
 
@@ -194,7 +194,7 @@ def _open_local(alpha, gamma, refined, cutoff):
             for n, h in enumerate(_box_h(nu1, nu2, cutoff - r, refined)):
                 g.setdefault((r, n), []).append(edges * h)
     g = {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
-    strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
+    strip = RF_ONE / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
         _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) * strip for r, s in g})
 
@@ -214,8 +214,7 @@ def _conifold(alpha, gamma, refined, cutoff):
             (-1) ** nu.size * _c_brane(EMPTY, alpha, nu, refined) * g_side)
     eA = alpha.norm_sq - alpha.size
     eG = gamma.norm_sq - gamma.size
-    strip = RationalFunction.one() / _mono(eA - eG + gamma.kappa,
-                                           -eA + alpha.kappa + eG, refined)
+    strip = RF_ONE / _mono(eA - eG + gamma.kappa, -eA + alpha.kappa + eG, refined)
     determined = {(r, 0) for r in range(cutoff + 1)}
     return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
                                  for rs, v in terms.items()}, determined)

@@ -269,7 +269,7 @@ class SuiteRunner:
         it is None), in table order; only these are computed."""
         return [SuiteEntry(thunk(), expected)
                 for check_id, expected, thunk in self.table
-                if not pattern or selects(pattern, check_id)]
+                if pattern is None or selects(pattern, check_id)]
 
     def _build_table(self):
         table = []

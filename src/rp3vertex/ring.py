@@ -5,34 +5,42 @@ gluing parameters.
 Exponents are stored doubled so every exponent is an integer.  Rational
 functions never run a polynomial gcd: the denominator is kept as a multiset
 of normalized factors (each with constant term 1 after content stripping),
-sums take factor-wise least common multiples, and equality is decided by
-cross multiplication.  A sum applies each LCM factor its terms miss once
-per group of terms that need it equally often, to their partial sum, not
-to every term's numerator on its own.  Large sums with integer
-coefficients do that on packed integers (Kronecker substitution): every
-numerator becomes one Python integer with a fixed-width slot per lattice
-point of a box that holds every partial sum, a factor 1 - m becomes one
-shift and subtract, and the result is decoded once; the slot width is
-proved wide enough for every coefficient, so the terms are the same as on
-dicts (see `_lift_packed`).  Sums do not cancel; `cancelled` divides the
+sums take factor-wise least common multiples, and two values are equal
+when their difference is zero, a sum that lifts both numerators to the LCM
+of the two denominators; the expanded denominator `den` is built by the
+same lifting.  A sum applies each LCM factor its terms miss once per group
+of terms that need it equally often, to their partial sum, not to every
+term's numerator on its own.  Large sums with integer coefficients do
+that on packed integers (Kronecker substitution): every numerator becomes
+one Python integer with a fixed-width slot per lattice point of a box that
+holds every partial sum, a factor 1 - m becomes one shift and subtract,
+and the result is decoded once; the slot width is proved wide enough for
+every coefficient, so the terms are the same as on dicts (see
+`_lift_packed`).  Sums do not cancel; `cancelled` divides the
 numerator exactly by each factor 1 - m that divides it, and is called only
 on the skew Schur leaves and in `series_divide`.
 
 Every division by a factor 1 - m, exact or as a power series cut at an
-order, goes through one kernel, `_divide_one_minus`; so `expand` takes the
-denominators that are products of factors 1 - q^a t^b with a >= 0.  Every
-polynomial a value is divided by is normalized by `RationalFunction._over`.
+order, goes through one kernel, `_divide_one_minus`; so `expand`, which
+expands in q only, takes the denominators that are products of factors
+1 - q^a t^b with a >= 0.  Every polynomial a value is divided by is
+normalized by `RationalFunction._over`.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 
 def _coeff_str(c):
     f = Fraction(c)
     return str(f.numerator), str(f.denominator)
+
+
+def _coeff_of(item):
+    """The coefficient that `_coeff_str` wrote as item's "num" and "den"."""
+    return _tighten(Fraction(int(item["num"]), int(item["den"])))
 
 
 class Laurent:
@@ -80,8 +88,6 @@ class Laurent:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Laurent.const(other)
         if not isinstance(other, Laurent):
             return NotImplemented
         if len(self.terms) != len(other.terms):
@@ -285,13 +291,8 @@ class Laurent:
 
     @staticmethod
     def from_json(data):
-        terms = {}
-        for item in data:
-            c = Fraction(int(item["num"]), int(item["den"]))
-            if c.denominator == 1:
-                c = c.numerator
-            terms[(int(item["ex"]), int(item["ey"]))] = c
-        return Laurent(terms)
+        return Laurent({(int(item["ex"]), int(item["ey"])): _coeff_of(item)
+                        for item in data})
 
 
 L_ZERO = Laurent()
@@ -638,14 +639,6 @@ class RationalFunction:
         return RationalFunction(Laurent.const(value))
 
     @staticmethod
-    def zero():
-        return RF_ZERO
-
-    @staticmethod
-    def one():
-        return RF_ONE
-
-    @staticmethod
     def monomial(eq, et, c=1):
         return RationalFunction(Laurent.monomial(eq, et, c))
 
@@ -654,10 +647,8 @@ class RationalFunction:
     @property
     def den(self):
         """The expanded denominator polynomial."""
-        d = L_ONE
-        for f, m in self.factors:
-            d = d * f ** m
-        return d
+        return _lift_sum([(L_ONE, [m for _f, m in self.factors])],
+                         [f for f, _m in self.factors])
 
     def is_zero(self):
         return self.num.is_zero()
@@ -701,10 +692,8 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         if self.is_zero():
             return RF_ZERO
-        num = self.num
-        for f, m in other.factors:
-            num = num * f ** m
-        return RationalFunction._over(num, ((other.num, 1),), dict(self.factors))
+        return RationalFunction._over(self.num * other.den, ((other.num, 1),),
+                                      dict(self.factors))
 
     def __rtruediv__(self, other):
         return RationalFunction.of(other) / self
@@ -769,28 +758,14 @@ class RationalFunction:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Laurent) or isinstance(other, (int, Fraction)):
+        """Whether the difference is zero: `sum_of` lifts both numerators to
+        the LCM of the two denominators, so the numerators it subtracts are
+        those that cross multiplication by the missing factors compares."""
+        if isinstance(other, (Laurent, int, Fraction)):
             other = RationalFunction.of(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.num.is_zero():
-            return other.num.is_zero()
-        if other.num.is_zero():
-            return False
-        a, b = dict(self.factors), dict(other.factors)
-        for f in set(a) & set(b):
-            m = min(a[f], b[f])
-            a[f] -= m
-            b[f] -= m
-        left = self.num
-        for f, m in b.items():
-            if m:
-                left = left * f ** m
-        right = other.num
-        for f, m in a.items():
-            if m:
-                right = right * f ** m
-        return left == right
+        return RationalFunction.sum_of([self, -other]).is_zero()
 
     # equal values in different unreduced forms have no common hash
     __hash__ = None
@@ -849,31 +824,28 @@ RF_ONE = RationalFunction(L_ONE)
 
 
 def rf_equal(a, b):
-    """Cross-multiplied equality of two rational functions."""
+    """Equality of two rational functions (see `RationalFunction.__eq__`)."""
     return RationalFunction.of(a) == RationalFunction.of(b)
 
 
 class ExpansionError(ValueError):
-    """A denominator cannot be inverted as a series in the expansion variable."""
+    """A denominator cannot be inverted as a series in q."""
 
 
-class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
-    """Truncated expansion in one variable with Laurent-polynomial coefficients
-    in the other, after extraction of an overall monomial prefactor.
+class QSeries(namedtuple("QSeries", "prefactor coeffs order")):
+    """Truncated expansion in q with Laurent-polynomial coefficients in t,
+    after extraction of an overall monomial prefactor.
 
-    coeffs maps a doubled main-variable exponent (0, 2, 4, ...) to a dict of
-    doubled other-variable exponents -> rational coefficient.  order is the
-    inclusive doubled bound on stored main exponents.
+    coeffs maps a doubled q exponent (0, 2, 4, ...) to a dict of doubled
+    t exponents -> rational coefficient.  order is the inclusive doubled
+    bound on stored q exponents.
     """
 
     __slots__ = ()
 
-    def __new__(cls, prefactor, coeffs, order, var="q"):
+    def __new__(cls, prefactor, coeffs, order):
         coeffs = {qe: dict(poly) for qe, poly in coeffs.items() if poly}
-        return super().__new__(cls, prefactor, coeffs, order, var)
-
-    def coeff(self, qe_doubled):
-        return dict(self.coeffs.get(qe_doubled, {}))
+        return super().__new__(cls, prefactor, coeffs, order)
 
     def first_violation(self):
         """(qe, te, coeff) of the first non-positive-integral coefficient; the
@@ -899,8 +871,6 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
         return out
 
     def text(self):
-        main = self.var
-        other = "t" if main == "q" else "q"
         if not self.coeffs:
             return "0"
 
@@ -911,8 +881,8 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
                 if te == 0:
                     bits.append(str(c))
                 else:
-                    sym = other if te == 2 else (
-                        f"{other}^{te // 2}" if te % 2 == 0 else f"{other}^({te}/2)")
+                    sym = "t" if te == 2 else (
+                        f"t^{te // 2}" if te % 2 == 0 else f"t^({te}/2)")
                     if c == 1:
                         bits.append(sym)
                     elif c == -1:
@@ -928,8 +898,8 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
             if qe == 0:
                 pieces.append(body if len(poly) == 1 else f"({body})")
                 continue
-            sym = main if qe == 2 else (
-                f"{main}^{qe // 2}" if qe % 2 == 0 else f"{main}^({qe}/2)")
+            sym = "q" if qe == 2 else (
+                f"q^{qe // 2}" if qe % 2 == 0 else f"q^({qe}/2)")
             if poly == {0: 1}:
                 pieces.append(sym)
             else:
@@ -951,42 +921,35 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order var")):
         return {
             "prefactor": self.prefactor.to_json(),
             "order": self.order,
-            "var": self.var,
+            "var": "q",
             "coeffs": coeffs,
         }
 
     @staticmethod
     def from_json(data):
+        if data.get("var", "q") != "q":
+            raise ValueError(f"series variable {data['var']!r} is not 'q'")
         coeffs = {}
         for item in data["coeffs"]:
-            poly = {}
-            for tt in item["poly_t"]:
-                c = Fraction(int(tt["num"]), int(tt["den"]))
-                if c.denominator == 1:
-                    c = c.numerator
-                poly[int(tt["te"])] = c
-            coeffs[int(item["qe"])] = poly
+            coeffs[int(item["qe"])] = {int(tt["te"]): _coeff_of(tt)
+                                       for tt in item["poly_t"]}
         pref = Laurent.from_json(data["prefactor"]) if data.get("prefactor") else L_ONE
-        return QSeries(pref, coeffs, int(data["order"]), data.get("var", "q"))
+        return QSeries(pref, coeffs, int(data["order"]))
 
 
-def expand(rf, q_order, var="q"):
-    """Series expansion of a rational function to the given order (plain,
-    undoubled power of the expansion variable).
+def expand(rf, q_order):
+    """Series expansion of a rational function in q to the given order
+    (plain, undoubled power of q).
 
     Every denominator factor must be a product of factors 1 - q^a t^b with
     a >= 0.  Steps with a > 0 are inverted as power series cut at the
-    order; steps with a = 0, pure in the other variable, must then divide
-    the series exactly.  Raises ExpansionError when a factor is no such
-    product, has a step with a < 0, or a pure step does not divide.
+    order; steps with a = 0, pure in t, must then divide the series
+    exactly.  Raises ExpansionError when a factor is no such product, has a
+    step with a < 0, or a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
-    if var == "t":
-        result = expand(rf.swap_qt(), q_order, "q")
-        return QSeries(result.prefactor.swap_qt(),
-                       result.coeffs, result.order, "t")
     if rf.is_zero():
-        return QSeries(L_ONE, {}, 2 * q_order, var)
+        return QSeries(L_ONE, {}, 2 * q_order)
 
     geom = []   # steps m with a positive q-exponent
     pure = []   # (factor, step m) with m in t alone
@@ -1018,10 +981,10 @@ def expand(rf, q_order, var="q"):
     slices = {}
     for (eq, et), c in terms.items():
         slices.setdefault(eq, {})[et] = c
-    return canonical_series(slices, 2 * q_order, var)
+    return canonical_series(slices, 2 * q_order)
 
 
-def canonical_series(slices, order_doubled, var):
+def canonical_series(slices, order_doubled):
     """Normalize raw series slices into a QSeries: extract the monomial
     making the residual start at order zero in both variables, a sign making
     the lowest entry positive, and the scalar content making it primitive."""
@@ -1029,7 +992,7 @@ def canonical_series(slices, order_doubled, var):
               for qe, poly in slices.items()}
     slices = {qe: poly for qe, poly in slices.items() if poly}
     if not slices:
-        return QSeries(L_ONE, {}, order_doubled, var)
+        return QSeries(L_ONE, {}, order_doubled)
 
     qmin = min(slices)
     tmin = min(te for poly in slices.values() for te in poly)
@@ -1045,11 +1008,10 @@ def canonical_series(slices, order_doubled, var):
         shifted = {qe: {te: _tighten(c * inv) for te, c in poly.items()}
                    for qe, poly in shifted.items()}
     prefactor = Laurent.monomial(qmin, tmin, _tighten(scale))
-    return QSeries(prefactor, shifted, order_doubled, var)
+    return QSeries(prefactor, shifted, order_doubled)
 
 
 def _content(values):
-    from math import gcd, lcm
     num = 0
     den = 1
     for v in values:
@@ -1062,10 +1024,6 @@ def _content(values):
 def _tighten(f):
     f = Fraction(f)
     return f.numerator if f.denominator == 1 else f
-
-
-def substitute_t_eq_q(rf):
-    return RationalFunction.of(rf).substitute_t_eq_q()
 
 
 def graded(bidegrees):

@@ -4,9 +4,14 @@ alphabets.
 An alphabet here is a finite prefix of monomials followed by an infinite
 geometric tail whose ratio is a pure power of one variable, which keeps
 every complete homogeneous value an exact rational function.
+
+`complete_homogeneous` and `skew_schur` are memoized with
+`functools.cache`, like every other memo of the package, so
+`cache_clear` empties each of them.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from .partitions import EMPTY
 from .ring import Laurent, RationalFunction, RF_ONE, RF_ZERO
@@ -77,20 +82,13 @@ def finite_h(letters, k):
     return [Laurent._of(h) for h in hs]
 
 
-_H_CACHE = {}
-
-
+@cache
 def complete_homogeneous(k, alphabet):
     """h_k of the alphabet, exact; the tail uses the closed geometric form."""
     if k < 0:
         return RF_ZERO
     if k == 0:
         return RF_ONE
-    key = (alphabet, k)
-    cached = _H_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     hs = finite_h(alphabet.prefix, k)
     sq, st = alphabet.tail_start
     rq, rt = alphabet.tail_ratio
@@ -105,14 +103,10 @@ def complete_homogeneous(k, alphabet):
             f = Laurent({(0, 0): 1, (rq * i, rt * i): -1})
             bag[f] = bag.get(f, 0) + 1
         terms.append(RationalFunction._make(num, bag))
-    value = RationalFunction.sum_of(terms)
-    _H_CACHE.setdefault(key, value)
-    return value
+    return RationalFunction.sum_of(terms)
 
 
-_SKEW_CACHE = {}
-
-
+@cache
 def skew_schur(lam, eta, alphabet):
     """s_{lam/eta} at the alphabet via the Jacobi-Trudi determinant.
 
@@ -123,43 +117,31 @@ def skew_schur(lam, eta, alphabet):
     n = len(lam)
     if n == 0:
         return RF_ONE
-    key = (lam, eta, alphabet)
-    cached = _SKEW_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     rows = [[complete_homogeneous(lam.part(i) - eta.part(j) - i + j, alphabet)
              for j in range(1, n + 1)] for i in range(1, n + 1)]
     # cancelled once here, the value is reused by every block product
-    value = _det(rows).cancelled()
-    _SKEW_CACHE.setdefault(key, value)
-    return value
+    return _det(rows).cancelled()
 
 
 def _det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    memo = {}
 
+    @cache
     def minor(r, cols):
         if r == n:
             return RF_ONE
-        got = memo.get(cols)
-        if got is not None:
-            return got
         terms = []
         sign = 1
-        for idx, j in enumerate(_bits(cols)):
+        for j in _bits(cols):
             entry = rows[r][j]
             if not entry.is_zero():
                 sub = minor(r + 1, cols & ~(1 << j))
                 term = entry * sub
                 terms.append(term if sign > 0 else -term)
             sign = -sign
-        value = RationalFunction.sum_of(terms)
-        memo[cols] = value
-        return value
+        return RationalFunction.sum_of(terms)
 
     return minor(0, (1 << n) - 1)
 
@@ -194,10 +176,8 @@ def macdonald_tilde_z(nu, first="t"):
     return RationalFunction._make(Laurent.const(1), bag)
 
 
-def macdonald_p_at_rho(nu, swap=False):
-    """Principal Macdonald value P_{nu^t}(t^(-rho); q, t) through the hook
-    identity; swap exchanges the roles of t and q throughout."""
-    n2 = nu.norm_sq
-    if swap:
-        return RationalFunction.monomial(n2, 0) * macdonald_tilde_z(nu, "q")
-    return RationalFunction.monomial(0, n2) * macdonald_tilde_z(nu, "t")
+def macdonald_p_at_rho(nu):
+    """Principal Macdonald value P_{nu^t}(q^(-rho); t, q): the hook identity
+    for P_{nu^t}(t^(-rho); q, t) with t and q exchanged throughout, that is
+    q^(||nu||^2/2) times the hook product with (first, second) = (q, t)."""
+    return RationalFunction.monomial(nu.norm_sq, 0) * macdonald_tilde_z(nu, "q")

@@ -12,7 +12,9 @@ square graph's gluing sum in its former form, which sums the fiber legs
 color by color from the blocks at every internal leg, is the reference
 for the factored one, and its former fiber sum, which sums both fiber
 legs from the Schur values at every pair of base edges, the reference for
-the closed fiber kernel.
+the closed fiber kernel.  Rational-function equality in its former form,
+cross multiplication after cancelling shared factors, is the reference for
+the zero test of the difference.
 """
 
 from functools import cache
@@ -20,8 +22,8 @@ from functools import cache
 from rp3vertex.amplitude import (_c_brane, _c_brane_g, _c_plain, _c_plain_g,
                                   _color_monomial, _framing, _mono, _schur)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
-from rp3vertex.ring import (L_ONE, ExpansionError, KahlerSeries, Laurent, QSeries,
-                            RationalFunction, _splits, canonical_series)
+from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
+                            QSeries, RationalFunction, _splits, canonical_series)
 
 
 def hook(nu, i, j):
@@ -87,6 +89,31 @@ def residual_equal(a, b, through=None):
     return True
 
 
+def reference_rf_equal(a, b):
+    """Cross-multiplied equality of two rational functions: the factors the
+    two denominators share are cancelled, and each numerator is multiplied
+    by the factor powers only the other denominator has."""
+    a, b = RationalFunction.of(a), RationalFunction.of(b)
+    if a.num.is_zero():
+        return b.num.is_zero()
+    if b.num.is_zero():
+        return False
+    fa, fb = dict(a.factors), dict(b.factors)
+    for f in set(fa) & set(fb):
+        m = min(fa[f], fb[f])
+        fa[f] -= m
+        fb[f] -= m
+    left = a.num
+    for f, m in fb.items():
+        if m:
+            left = left * f ** m
+    right = b.num
+    for f, m in fa.items():
+        if m:
+            right = right * f ** m
+    return left == right
+
+
 def series_multiply(a, b):
     """Product of two bidegree series over a shared cutoff; a bidegree of the
     product is determined only when every contributing split is."""
@@ -145,22 +172,18 @@ def reference_series_divide(num, den):
     return KahlerSeries(num.cutoff, quo, determined)
 
 
-def reference_expand(rf, q_order, var="q"):
-    """Series expansion of a rational function to the given order (plain,
-    undoubled power of the expansion variable).
+def reference_expand(rf, q_order):
+    """Series expansion of a rational function in q to the given order
+    (plain, undoubled power of q).
 
-    Denominator factors that are pure in the other variable must divide the
-    series coefficientwise; factors mixing in the expansion variable are
-    inverted geometrically.  Raises ExpansionError when a factor has no unit
-    constant term or a pure factor does not divide exactly.
+    Denominator factors that are pure in t must divide the series
+    coefficientwise; factors mixing in q are inverted geometrically.  Raises
+    ExpansionError when a factor has no unit constant term or a pure factor
+    does not divide exactly.
     """
     rf = RationalFunction.of(rf)
-    if var == "t":
-        result = reference_expand(rf.swap_qt(), q_order, "q")
-        return QSeries(result.prefactor.swap_qt(),
-                       result.coeffs, result.order, "t")
     if rf.is_zero():
-        return QSeries(L_ONE, {}, 2 * q_order, var)
+        return QSeries(L_ONE, {}, 2 * q_order)
 
     geom = []   # factors with every non-constant term strictly positive in q
     pure = []   # factors in t alone
@@ -213,7 +236,7 @@ def reference_expand(rf, q_order, var="q"):
                 new[qe] = _divide_t_poly(poly, divisor, f)
             slices = new
 
-    return canonical_series(slices, 2 * q_order, var)
+    return canonical_series(slices, 2 * q_order)
 
 
 def _divide_t_poly(poly, divisor, factor):
@@ -247,15 +270,17 @@ class OracleTruncationError(ValueError):
 def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
     """Brute-force skew Schur series: sum over semistandard tableaux with
     entries in a truncated alphabet, as a series in the alphabet's tail
-    variable to the given order.
+    variable to the given order.  A series in t is given as the q-series of
+    the value with q and t swapped, as `expand` gives it for the swapped
+    value.
 
     Only a verification oracle; independent of the determinant path.
     """
     if not lam.contains(eta):
-        return QSeries(Laurent.const(1), {}, 2 * order, alphabet.main_var)
+        return QSeries(Laurent.const(1), {}, 2 * order)
     ncells = lam.size - eta.size
     if ncells == 0:
-        return QSeries(Laurent.const(1), {0: {0: 1}}, 2 * order, alphabet.main_var)
+        return QSeries(Laurent.const(1), {0: {0: 1}}, 2 * order)
 
     main_q = alphabet.main_var == "q"
 
@@ -335,11 +360,7 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
         return ncells - done
 
     fill(0, {}, 0, 0)
-    series = canonical_series(slices, 2 * order, alphabet.main_var)
-    if alphabet.main_var == "t":
-        series = QSeries(series.prefactor.swap_qt(), series.coeffs,
-                         series.order, "t")
-    return series
+    return canonical_series(slices, 2 * order)
 
 
 def reference_open_local(alpha, gamma, refined, cutoff):
@@ -376,7 +397,7 @@ def reference_open_local(alpha, gamma, refined, cutoff):
                     if r + s1 + s2 > cutoff:
                         continue
                     terms.setdefault((r, s1 + s2), []).append(base * av * gv)
-    strip = RationalFunction.one() / _color_monomial(alpha, gamma, refined)
+    strip = RF_ONE / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
                                  for rs, v in terms.items()})
 

@@ -103,10 +103,11 @@ def test_criterion_8_oracle_equivalence():
     ok = True
     witness = ""
     for alphabet in alphabets:
-        var = alphabet.main_var
         for lam in enumerate_up_to(5):
             for eta in subpartitions_within(lam):
-                det = expand(skew_schur(lam, eta, alphabet), 8, var)
+                value = skew_schur(lam, eta, alphabet)
+                # a t alphabet's series is the q-series of the swapped value
+                det = expand(value if alphabet.main_var == "q" else value.swap_qt(), 8)
                 orc = schur_tableau_oracle(lam, eta, alphabet, 8)
                 if not (det.prefactor == orc.prefactor and residual_equal(det, orc)):
                     ok = False

@@ -12,12 +12,12 @@ from rp3vertex.analysis import (CheckReport, SuiteRunner, fixture_compare,
                                 summary_table, support_check,
                                 symmetry_check_tq)
 from rp3vertex.partitions import EMPTY, Partition
-from rp3vertex.ring import KahlerSeries, RationalFunction
+from rp3vertex.ring import RF_ONE, KahlerSeries, RationalFunction
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
 qh = RationalFunction.monomial(1, 0)
-one = RationalFunction.one()
+one = RF_ONE
 
 BOX = Partition([1])
 

@@ -28,9 +28,9 @@ def test_expand_matches_printed_list(capsys):
 
 def test_compute_text_degenerate_series():
     from rp3vertex.cli import emit_text
-    from rp3vertex.ring import RationalFunction
+    from rp3vertex.ring import RF_ONE, RationalFunction
     assert emit_text(KahlerSeries(0, {})) == "0"
-    assert emit_text(KahlerSeries(0, {(0, 0): RationalFunction.one()})) == "1"
+    assert emit_text(KahlerSeries(0, {(0, 0): RF_ONE})) == "1"
     q = RationalFunction.monomial(2, 0)
     two_line = emit_text(KahlerSeries(1, {(0, 0): q, (1, 0): q}))
     assert two_line.splitlines() == ["(0,0): q", "(1,0): q"]
@@ -102,8 +102,16 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
             main(argv)
         assert err.value.code == 2
         capsys.readouterr()
+    # an empty pattern selects no check, like any other that matches none
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--suite", ""])
+    assert err.value.code == 2
+    assert "no checks match ''" in capsys.readouterr().err
     # a malformed fixture file is named in one usage line, not a traceback
     spec = '"spec": {"alpha": "[1]", "gamma": "[]", "refined": false, "cutoff": 3}'
+    with open(os.path.join(fixtures_dir_default(), "sec42_fund_qbqf.json")) as fh:
+        in_t = json.load(fh)
+    in_t["expected"]["var"] = "t"
     for text, problem in (("{}", "'id'"), ("[1,2]", "not a JSON object"),
                           ('{"id": "x"}', "'kind'"), ("nope", "Expecting value"),
                           ('{"id": "x", "kind": "kahler", "spec": {}, "expected": {}}',
@@ -116,7 +124,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
                            '"gamma": "[]", "refined": 0, "cutoff": 3}, "expected": {}}',
                            "spec has no bool 'refined'"),
                           ('{"id": "x", "kind": "other", %s, "expected": {}}' % spec,
-                           "unknown fixture kind 'other'")):
+                           "unknown fixture kind 'other'"),
+                          (json.dumps(in_t), "series variable 't' is not 'q'")):
         (tmp_path / "bad.json").write_text(text)
         with pytest.raises(SystemExit) as err:
             main(["check", "--fixtures-dir", str(tmp_path)])

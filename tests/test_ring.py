@@ -8,19 +8,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_expand, series_multiply
+from oracles import reference_expand, reference_rf_equal, series_multiply
 from rp3vertex import ring
-from rp3vertex.ring import (_PACK_WORK, ExpansionError, KahlerSeries, Laurent, QSeries,
-                            RationalFunction, _divide_one_minus, _factor_sort_key,
-                            _lift_dict, _lift_packed, _lift_sum, expand, rf_equal,
-                            series_divide)
+from rp3vertex.ring import (_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
+                            Laurent, QSeries, RationalFunction, _divide_one_minus,
+                            _factor_sort_key, _lift_dict, _lift_packed, _lift_sum, expand,
+                            rf_equal, series_divide)
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
 qh = RationalFunction.monomial(1, 0)
 th = RationalFunction.monomial(0, 1)
-one = RationalFunction.one()
-zero = RationalFunction.zero()
+one = RF_ONE
+zero = RF_ZERO
 
 
 def random_laurent(rng, nterms=4, span=4):
@@ -183,6 +183,25 @@ FACTOR_POLYS += [Laurent({(0, 0): 1, (2, 0): 1}),
                  Laurent({(2, 0): Fraction(3, 2), (4, 2): -3})]
 
 
+@settings(deadline=None, max_examples=100)
+@given(LAURENTS, LAURENTS)
+def test_equal_laurents_hash_equal(a, b):
+    as_fractions = Laurent({e: Fraction(c) for e, c in reversed(a.terms.items())})
+    assert as_fractions == a and hash(as_fractions) == hash(a)
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    assert (a == b) == (a.terms == b.terms)
+
+
+def test_laurent_is_never_equal_to_a_number():
+    # numbers hash by value and Laurents by their terms, so no Laurent may
+    # equal a number; a factor bag keyed by Laurents takes no number keys
+    assert not Laurent.const(1) == 1
+    assert Laurent.const(1) != 1 and Laurent() != 0
+    assert not Laurent.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert {Laurent.const(1): 0}.get(1) is None
+
+
 @st.composite
 def rf_values(draw):
     num = draw(LAURENTS)
@@ -234,6 +253,63 @@ def test_common_factor_leaves_a_sum_in_the_same_representation(values, c):
 @given(rf_values(), rf_values(), rf_values())
 def test_products_reassociate_in_the_same_representation(a, b, c):
     assert same_representation((a * b) * c, a * (b * c))
+
+
+@st.composite
+def equality_pairs(draw):
+    """(a, b): b another value, or a's value in another form, or zero; then
+    perhaps b plus a further value, which is mostly unequal."""
+    a = draw(rf_values())
+    form = draw(st.sampled_from(("other", "shared", "unreduced", "json", "zero")))
+    if form == "other":
+        b = draw(rf_values())
+    elif form == "shared":
+        c = draw(rf_values())
+        a, b = a * c, draw(st.sampled_from([a, draw(rf_values())])) * c
+    elif form == "unreduced":
+        p = RationalFunction(draw(st.sampled_from(FACTOR_POLYS)))
+        b = a * p / p
+    elif form == "json":
+        b = RationalFunction.from_json(json.loads(json.dumps(a.to_json())))
+    else:
+        a, b = draw(st.sampled_from([a, a - a, zero])), zero
+    if draw(st.booleans()):
+        b = b + draw(rf_values())
+    return a, b
+
+
+@settings(deadline=None, max_examples=200)
+@given(equality_pairs())
+@example(((1 + q) / ((1 - q) * (1 - t)), RationalFunction((1 + q).num, ((1 - q) * (1 - t)).num)))
+@example((Fraction(1, 2) * qh / (1 - q), qh / (2 - 2 * q)))
+@example((q * (1 + q) / ((1 - q) ** 2 * (1 + q)), q / (1 - q) ** 2))
+@example((zero, zero))
+@example((q - q, zero))
+def test_equality_agrees_with_cross_multiplication(pair):
+    a, b = pair
+    want = reference_rf_equal(a, b)
+    assert (a == b) is want
+    assert (b == a) is want
+    assert (a != b) is not want
+
+
+def test_json_roundtrip_has_one_expanded_factor():
+    a = (1 + q) / ((1 - q) * (1 - t) ** 2)
+    back = RationalFunction.from_json(json.loads(json.dumps(a.to_json())))
+    (f, m), = back.factors
+    assert m == 1 and len(f.terms) > 2
+    assert back == a and reference_rf_equal(back, a)
+    assert back != a + t and not reference_rf_equal(back, a + t)
+
+
+@settings(deadline=None, max_examples=100)
+@given(rf_values(), st.integers(1, 4))
+def test_den_is_the_product_of_the_factor_powers(rf, n):
+    for value in (rf, rf ** n):
+        want = Laurent.const(1)
+        for f, m in value.factors:
+            want = want * f ** m
+        assert value.den.terms == want.terms
 
 
 def test_sum_of_many_distinct_factors():
@@ -504,8 +580,6 @@ def test_compute_sums_agree_on_both_kernels(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    specialize._H_CACHE.clear()
-    specialize._SKEW_CACHE.clear()
     # cutoff 5 makes 163 sums; cutoff 4 makes only 97 since the gluing
     # sums the fiber legs through the box alphabet
     normalized_amplitude(AmplitudeSpec(alpha=parse_partition("[1,1]"),
@@ -645,13 +719,6 @@ def test_expand_content_extraction():
     ser = expand(2 * (3 + 4 * q) / (1 - q), 3)
     assert ser.prefactor == Laurent.const(2)
     assert ser.coeffs == {0: {0: 3}, 2: {0: 7}, 4: {0: 7}, 6: {0: 7}}
-
-
-def test_expand_in_t_variable():
-    ser = expand(th / (1 - t), 3, var="t")
-    assert ser.var == "t"
-    assert ser.prefactor == Laurent.monomial(0, 1)
-    assert ser.coeffs == {0: {0: 1}, 2: {0: 1}, 4: {0: 1}, 6: {0: 1}}
 
 
 def test_qseries_violation_detection():

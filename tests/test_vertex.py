@@ -12,7 +12,7 @@ import pytest
 
 from rp3vertex.amplitude import _c_brane, _c_brane_g, _c_plain, _c_plain_g
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
-from rp3vertex.ring import RationalFunction, rf_equal
+from rp3vertex.ring import RF_ONE, RationalFunction, rf_equal
 from rp3vertex.specialize import principal, skew_schur
 from rp3vertex.vertex import framing_refined, framing_regular
 
@@ -83,7 +83,7 @@ def test_vertex_regular_single_box_symmetry():
 
 def test_framing_regular_examples():
     assert framing_regular(EMPTY).is_one()
-    assert rf_equal(framing_regular(BOX), -RationalFunction.one())
+    assert rf_equal(framing_regular(BOX), -RF_ONE)
     assert rf_equal(framing_regular(Partition([2])), 1 / q)
 
 
@@ -94,7 +94,7 @@ def _edge_pair(nu1, nu2):
 
 def test_framing_refined_pair_examples():
     assert _edge_pair(EMPTY, EMPTY).is_one()
-    assert rf_equal(_edge_pair(BOX, EMPTY), -RationalFunction.one())
+    assert rf_equal(_edge_pair(BOX, EMPTY), -RF_ONE)
 
 
 def test_framing_refined_pair_reduces():
@@ -137,7 +137,7 @@ def _leg(lam, nu1, nu2, refined):
     else:
         x, y = principal("q", nu1), principal("q", nu2)
         frame = (framing_regular(lam),) * 2
-        weight = RationalFunction.one()
+        weight = RF_ONE
     return skew_schur(lam, EMPTY, x) * skew_schur(lam, EMPTY, y), frame, weight
 
 

@@ -18,7 +18,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rp3vertex.ring import KahlerSeries, Laurent, RationalFunction
+from rp3vertex.ring import RF_ONE, KahlerSeries, Laurent, RationalFunction
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "rp3vertex", "fixtures")
 
@@ -26,7 +26,7 @@ q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
 qh = RationalFunction.monomial(1, 0)
 th = RationalFunction.monomial(0, 1)
-one = RationalFunction.one()
+one = RF_ONE
 T = Laurent.monomial(0, 2)
 
 

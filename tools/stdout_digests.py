@@ -4,9 +4,8 @@ Usage:
     python tools/stdout_digests.py
 
 Each command runs in this interpreter through `rp3vertex.cli.main`, from a
-cold start: every `functools.cache` of the package and the `_H_CACHE` and
-`_SKEW_CACHE` tables of `specialize` are cleared before it, so a value is
-built as a fresh process would build it.  Each line is the digest of one
+cold start: every `functools.cache` of the package is cleared before it,
+so a value is built as a fresh process would build it.  Each line is the digest of one
 command's stdout, its exit code and its argv; the last line digests all of
 them in order.  Two checkouts print the same total exactly when every
 command prints the same bytes and exits alike, so comparing totals before
@@ -15,8 +14,11 @@ and after a change that must keep the printed forms shows that it did.
 The list: `check --suite all --output json`; `compute --output json` at
 cutoff 4 for 7 alphas x 3 gammas x both modes x both geometries, each
 normalized and `--raw`; refined cutoff 7 [1,1]x[1]; one-parameter cutoff 9
-[2,1]x[1]; and the benchmark pools' colors at their deep cutoffs (refined
-6, one-parameter 8).
+[2,1]x[1]; the benchmark pools' colors at their deep cutoffs (refined
+6, one-parameter 8); `expand` in text and JSON for 3 alphas x 2 gammas x
+both modes x both geometries, each normalized and `--raw`, at bidegrees
+1,0 / 1,1 / 2,1 (1,0 / 2,0 on the single-edge geometry, which determines
+only s = 0); and `compare` in both modes for 6 color pairs.
 """
 
 import contextlib
@@ -32,6 +34,10 @@ from rp3vertex import amplitude, analysis, cli, partitions, ring, specialize, ve
 
 ALPHAS = ["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,1,1]", "[3]"]
 GAMMAS = ["[]", "[1]", "[1,1]"]
+EXPAND_ALPHAS = ["[1]", "[2]", "[1,1]"]
+EXPAND_GAMMAS = ["[]", "[1]"]
+COMPARE_COLORS = [("[]", "[]"), ("[1]", "[]"), ("[1]", "[1]"), ("[2]", "[1]"),
+                  ("[1,1]", "[1]"), ("[2,1]", "[]")]
 
 
 def commands():
@@ -49,6 +55,17 @@ def commands():
         yield (["compute", "--output", "json", "--cutoff", str(cutoff),
                 "--max-cutoff", str(cutoff), "--alpha", alpha, "--gamma", gamma]
                + ["--refined"] * refined)
+    for alpha, gamma, refined, geometry, raw, output in itertools.product(
+            EXPAND_ALPHAS, EXPAND_GAMMAS, (False, True),
+            ("local-p1xp1", "resolved-conifold"), (False, True), ("text", "json")):
+        bidegrees = ("1,0", "1,1", "2,1") if geometry == "local-p1xp1" else ("1,0", "2,0")
+        for coeff in bidegrees:
+            yield (["expand", "--output", output, "--coeff", coeff, "--alpha", alpha,
+                    "--gamma", gamma, "--geometry", geometry]
+                   + ["--refined"] * refined + ["--raw"] * raw)
+    for mode, (alpha, gamma) in itertools.product(("reduction", "geometries"),
+                                                  COMPARE_COLORS):
+        yield ["compare", "--mode", mode, "--alpha", alpha, "--gamma", gamma]
 
 
 def cold_start():
@@ -56,8 +73,6 @@ def cold_start():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    specialize._H_CACHE.clear()
-    specialize._SKEW_CACHE.clear()
 
 
 def main():
