@@ -7,11 +7,12 @@ Conventions fixed here and validated against the display fixtures:
 * Brane colors are given in drawn-shape form and conjugated on entry, so
   the n-box column color [1]*n evaluates to the length-n-row diagram
   internally.
-* Each trivalent building block enters as the displayed product (the
-  coupled inner sum collapsed to its leading term).
-* On the fiber legs lam and beta the signs, framings and monomials collapse
-  to (q/t)^(|lam|/2) and (t/q)^(|beta|/2), so Z(r,s) is the sum over
-  |nu1|+|nu2| = r of E1(alpha,gamma,nu1) E2(nu2) F(nu1,nu2,s), where F is
+* The edge factors E1(alpha,gamma,nu1) and E2(nu2) are each edge's sign and
+  framing times the trivalent blocks at empty fiber legs.  The leg-general
+  vertex is the oracle's (tests/oracles.py); on the fiber legs lam and beta
+  its signs, framings and monomials collapse to (q/t)^(|lam|/2) and
+  (t/q)^(|beta|/2), so Z(r,s) is the sum over |nu1|+|nu2| = r of
+  E1(alpha,gamma,nu1) E2(nu2) F(nu1,nu2,s), where F is
   sum_k w^(2k-s) U_k U_(s-k), w = (q/t)^(1/2), U_k = sum_{lam |- k} s_lam(x)
   s_lam(y), x = t^-rho q^-nu1, y = q^-rho t^-nu2.  By the Cauchy identity
   prod 1/(1 - Q x_i y_j) is its value at empty edges times prod 1/(1 - Q b)
@@ -93,43 +94,24 @@ def _framing(nu, order, refined):
     return framing_refined(nu, order) if refined else framing_regular(nu)
 
 
-# -- trivalent building blocks (displayed products) -------------------------
+# -- edge factors: the trivalent blocks at empty fiber legs -----------------
 
 @cache
-def _c_brane(lam, alpha, nu1, refined):
-    """First vertex on the alpha side: internal fiber leg lam, color alpha."""
-    e = alpha.norm_sq + nu1.norm_sq + lam.size - alpha.size
+def _c_brane(alpha, nu1, refined):
+    """First vertex on the alpha side, color alpha; the single edge's alpha side."""
+    e = alpha.norm_sq + nu1.norm_sq - alpha.size
     return (_mono(e, -e + alpha.kappa + nu1.norm_sq, refined)
             * _tilde_z(nu1, "t", refined)
-            * _schur(lam, "t", nu1, "q", refined)
             * _schur(alpha, "q", nu1.conjugate(), "t", refined))
 
 
 @cache
-def _c_plain(lam, nu2, refined):
-    nu2t = nu2.conjugate()
-    e = lam.norm_sq + nu2t.norm_sq - lam.size
-    return (_mono(e, -e + lam.kappa + nu2t.norm_sq, refined)
-            * _tilde_z(nu2t, "t", refined)
-            * _schur(lam, "q", nu2, "t", refined))
-
-
-@cache
-def _c_brane_g(gamma, beta, nu1, refined):
+def _c_brane_g(gamma, nu1, refined):
     """First vertex on the gamma side; the color sits at the conjugate shift."""
     nu1t = nu1.conjugate()
-    e = beta.norm_sq + nu1t.norm_sq + gamma.size - beta.size
-    return (_mono(-e + beta.kappa, e, refined)
-            * _p_at_rho(nu1t, refined)
-            * _schur(gamma, "q", nu1t, "t", refined)
-            * _schur(beta, "t", nu1, "q", refined))
-
-
-@cache
-def _c_plain_g(beta, nu2, refined):
-    e = nu2.norm_sq + beta.size
-    return (_mono(-e, e, refined) * _p_at_rho(nu2, refined)
-            * _schur(beta, "q", nu2, "t", refined))
+    e = nu1t.norm_sq + gamma.size
+    return (_mono(-e, e, refined) * _p_at_rho(nu1t, refined)
+            * _schur(gamma, "q", nu1t, "t", refined))
 
 
 def _color_monomial(alpha, gamma, refined):
@@ -141,15 +123,18 @@ def _color_monomial(alpha, gamma, refined):
 
 @cache
 def _edge_brane(alpha, gamma, nu1, refined):
-    """E1 (and E2 below): the edge's sign and framing, and its blocks at empty legs."""
+    """E1: the edge's sign and framing, and the color sides' first vertices."""
     return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)
-            * _c_brane(EMPTY, alpha, nu1, refined) * _c_brane_g(gamma, EMPTY, nu1, refined))
+            * _c_brane(alpha, nu1, refined) * _c_brane_g(gamma, nu1, refined))
 
 
 @cache
 def _edge_plain(nu2, refined):
+    """E2: the edge's sign and framing, and the second vertices on both sides."""
+    nu2t = nu2.conjugate()
     return ((-1) ** nu2.size * _framing(nu2, ("q", "t"), refined)
-            * _c_plain(EMPTY, nu2, refined) * _c_plain_g(EMPTY, nu2, refined))
+            * _mono(nu2t.norm_sq - nu2.norm_sq, nu2.norm_sq, refined)
+            * _tilde_z(nu2t, "t", refined) * _p_at_rho(nu2, refined))
 
 
 @cache
@@ -211,7 +196,7 @@ def _conifold(alpha, gamma, refined, cutoff):
                   * _tilde_z(nut, "q", refined)
                   * _schur(gamma, "t", nut, "q", refined))
         terms.setdefault((nu.size, 0), []).append(
-            (-1) ** nu.size * _c_brane(EMPTY, alpha, nu, refined) * g_side)
+            (-1) ** nu.size * _c_brane(alpha, nu, refined) * g_side)
     eA = alpha.norm_sq - alpha.size
     eG = gamma.norm_sq - gamma.size
     strip = RF_ONE / _mono(eA - eG + gamma.kappa, -eA + alpha.kappa + eG, refined)

@@ -14,8 +14,7 @@ from importlib import resources
 
 from .amplitude import AmplitudeSpec, normalize, open_amplitude
 from .partitions import EMPTY, Partition, parse_partition
-from .ring import (ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, graded,
-                   rf_equal)
+from .ring import ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, graded
 
 
 @dataclass
@@ -110,7 +109,7 @@ def fixture_compare(fixture, computed, check_id=None):
             if not computed.is_determined(*rs):
                 return CheckReport(check_id, "fail",
                                    witness=f"coefficient {rs} not determined")
-            if not rf_equal(computed.coeff(*rs), expected.coeffs.get(rs, RF_ZERO)):
+            if computed.coeff(*rs) != expected.coeffs.get(rs, RF_ZERO):
                 return CheckReport(check_id, "fail",
                                    witness=f"coefficient {rs} differs")
         return CheckReport(check_id, "pass",
@@ -356,7 +355,7 @@ class SuiteRunner:
         hopf = (Partition([1]), Partition([1]), False, 3)
         local = self.series(*hopf).coeff(r, 0)
         con = self.series(*hopf, geometry="resolved_conifold").coeff(r, 0)
-        ok = rf_equal(con, -local if opposite else local) == equal
+        ok = (con == (-local if opposite else local)) == equal
         return CheckReport(check_id, "pass" if ok else "fail",
                            witness=None if ok else message)
 

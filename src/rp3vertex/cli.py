@@ -15,7 +15,7 @@ from dataclasses import replace
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .analysis import SuiteRunner, summary_table
 from .partitions import parse_partition
-from .ring import ExpansionError, expand, graded, rf_equal
+from .ring import ExpansionError, expand, graded
 
 DEFAULT_CUTOFF_CEILING = 4
 
@@ -42,6 +42,9 @@ def _spec_from_args(args):
         if color.size > args.max_cutoff:
             raise ValueError(f"{flag} color has {color.size} boxes, above ceiling "
                              f"{args.max_cutoff} (raise with --max-cutoff)")
+        # a part is a diagram width, which conjugation indexes
+        if color and color[0] > sys.maxsize:
+            raise ValueError(f"{flag} part {color[0]} is too large to index")
     geometry = args.geometry.replace("-", "_")
     return AmplitudeSpec(geometry=geometry, alpha=alpha, gamma=gamma,
                          refined=args.refined, cutoff=args.cutoff)
@@ -155,7 +158,7 @@ def cmd_compare(args, parser):
             b = reduced.coeffs.get(rs)
             if a is None and b is None:
                 continue
-            same = (a is None) == (b is None) and (a is None or rf_equal(a, b))
+            same = (a is None) == (b is None) and (a is None or a == b)
             lines.append(f"({rs[0]},{rs[1]}): {'equal' if same else 'DIFFER'}  "
                          f"{(a or b).text()}")
         print("\n".join(lines))
@@ -178,9 +181,9 @@ def cmd_compare(args, parser):
             relation = "both zero"
         elif a is None or b is None:
             relation = "one zero"
-        elif rf_equal(a, b):
+        elif a == b:
             relation = "equal"
-        elif rf_equal(a, -b):
+        elif a == -b:
             relation = "opposite"
         else:
             relation = "differ"

@@ -823,11 +823,6 @@ RF_ZERO = RationalFunction(L_ZERO)
 RF_ONE = RationalFunction(L_ONE)
 
 
-def rf_equal(a, b):
-    """Equality of two rational functions (see `RationalFunction.__eq__`)."""
-    return RationalFunction.of(a) == RationalFunction.of(b)
-
-
 class ExpansionError(ValueError):
     """A denominator cannot be inverted as a series in q."""
 

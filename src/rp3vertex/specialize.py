@@ -32,43 +32,24 @@ class Alphabet(namedtuple("Alphabet", "prefix tail_start tail_ratio")):
             raise ValueError(f"tail ratio must be a positive pure power, got {tail_ratio}")
         return super().__new__(cls, tuple(prefix), tuple(tail_start), (rq, rt))
 
-    @property
-    def main_var(self):
-        return "q" if self.tail_ratio[0] else "t"
 
-    def letter(self, i):
-        """Doubled exponent pair of the 1-based i-th letter."""
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        k = i - 1 - len(self.prefix)
-        sq, st = self.tail_start
-        rq, rt = self.tail_ratio
-        return (sq + k * rq, st + k * rt)
+_UNIT = {"q": (1, 0), "t": (0, 1)}
 
 
 def principal(main, shift=EMPTY, shift_var=None):
-    """The alphabet main^(-rho) shifted by a partition in shift_var.
+    """The alphabet main^(-rho) shifted by a partition in shift_var (main by
+    default), one formula over the unit exponent vectors q -> (1, 0), t -> (0, 1).
 
     principal('q', chi) is {q^(1/2 - chi_1), q^(3/2 - chi_2), ...}; passing
     shift_var='q' with main 't' builds t^(-rho) q^(-chi), and so on.
     """
-    if main not in ("q", "t"):
-        raise ValueError("main variable must be 'q' or 't'")
-    if shift_var is None:
-        shift_var = main
-    prefix = []
-    for i, part in enumerate(shift, 1):
-        main_e = 2 * i - 1
-        shift_e = -2 * part
-        if shift_var == main:
-            e = (main_e + shift_e, 0) if main == "q" else (0, main_e + shift_e)
-        else:
-            e = (shift_e, main_e) if main == "t" else (main_e, shift_e)
-        prefix.append(e)
+    if main not in ("q", "t") or shift_var not in (None, "q", "t"):
+        raise ValueError(f"variables must be 'q' or 't', got {main!r} and {shift_var!r}")
+    (mq, mt), (sq, st) = _UNIT[main], _UNIT[shift_var or main]
     ell = len(shift)
-    start = (2 * ell + 1, 0) if main == "q" else (0, 2 * ell + 1)
-    ratio = (2, 0) if main == "q" else (0, 2)
-    return Alphabet(prefix, start, ratio)
+    prefix = [((2 * i - 1) * mq - 2 * part * sq, (2 * i - 1) * mt - 2 * part * st)
+              for i, part in enumerate(shift, 1)]
+    return Alphabet(prefix, ((2 * ell + 1) * mq, (2 * ell + 1) * mt), (2 * mq, 2 * mt))
 
 
 def finite_h(letters, k):

@@ -12,15 +12,17 @@ square graph's gluing sum in its former form, which sums the fiber legs
 color by color from the blocks at every internal leg, is the reference
 for the factored one, and its former fiber sum, which sums both fiber
 legs from the Schur values at every pair of base edges, the reference for
-the closed fiber kernel.  Rational-function equality in its former form,
+the closed fiber kernel.  The gluing sum builds its blocks from the
+leg-general vertex below, a fiber leg at every block, which the program
+keeps only at empty legs.  Rational-function equality in its former form,
 cross multiplication after cancelling shared factors, is the reference for
 the zero test of the difference.
 """
 
 from functools import cache
 
-from rp3vertex.amplitude import (_c_brane, _c_brane_g, _c_plain, _c_plain_g,
-                                  _color_monomial, _framing, _mono, _schur)
+from rp3vertex.amplitude import (_color_monomial, _framing, _mono, _p_at_rho, _schur,
+                                  _tilde_z)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
                             QSeries, RationalFunction, _splits, canonical_series)
@@ -263,6 +265,21 @@ def _divide_t_poly(poly, divisor, factor):
     return quot
 
 
+def main_var(alphabet):
+    """The variable of the alphabet's geometric tail."""
+    return "q" if alphabet.tail_ratio[0] else "t"
+
+
+def alphabet_letter(alphabet, i):
+    """Doubled exponent pair of the alphabet's 1-based i-th letter."""
+    if i <= len(alphabet.prefix):
+        return alphabet.prefix[i - 1]
+    k = i - 1 - len(alphabet.prefix)
+    sq, st = alphabet.tail_start
+    rq, rt = alphabet.tail_ratio
+    return (sq + k * rq, st + k * rt)
+
+
 class OracleTruncationError(ValueError):
     """The truncated alphabet cannot certify the requested order."""
 
@@ -282,13 +299,13 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
     if ncells == 0:
         return QSeries(Laurent.const(1), {0: {0: 1}}, 2 * order)
 
-    main_q = alphabet.main_var == "q"
+    main_q = main_var(alphabet) == "q"
 
     def main_exp(e):
         return e[0] if main_q else e[1]
 
     # smallest possible single-cell contribution, in doubled units
-    probe = [alphabet.letter(i) for i in range(1, len(alphabet.prefix) + 2)]
+    probe = [alphabet_letter(alphabet, i) for i in range(1, len(alphabet.prefix) + 2)]
     min_e = min(main_exp(e) for e in probe)
 
     # weight of the greedy column-strict filling: an upper bound on the
@@ -300,14 +317,14 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
         nxt = {}
         for j in range(eta.part(i) + 1, lam.part(i) + 1):
             letter = max(left, prev.get(j, 0) + 1)
-            greedy += main_exp(alphabet.letter(letter))
+            greedy += main_exp(alphabet_letter(alphabet, letter))
             nxt[j] = letter
             left = letter
         prev = nxt
     bound = greedy + 2 * order
 
     def enough(count):
-        nxt_e = main_exp(alphabet.letter(count + 1))
+        nxt_e = main_exp(alphabet_letter(alphabet, count + 1))
         return nxt_e + (ncells - 1) * min_e > bound
 
     if letters is None:
@@ -318,7 +335,7 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
         raise OracleTruncationError(
             f"{letters} letters cannot certify order {order}; more letters needed")
 
-    letter_exps = [alphabet.letter(i) for i in range(1, letters + 1)]
+    letter_exps = [alphabet_letter(alphabet, i) for i in range(1, letters + 1)]
     nrows = len(lam)
     slices = {}
 
@@ -363,6 +380,45 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
     return canonical_series(slices, 2 * order)
 
 
+# -- the leg-general vertex: displayed-product blocks at any fiber leg -------
+
+@cache
+def c_brane(lam, alpha, nu1, refined):
+    """First vertex on the alpha side: internal fiber leg lam, color alpha."""
+    e = alpha.norm_sq + nu1.norm_sq + lam.size - alpha.size
+    return (_mono(e, -e + alpha.kappa + nu1.norm_sq, refined)
+            * _tilde_z(nu1, "t", refined)
+            * _schur(lam, "t", nu1, "q", refined)
+            * _schur(alpha, "q", nu1.conjugate(), "t", refined))
+
+
+@cache
+def c_plain(lam, nu2, refined):
+    nu2t = nu2.conjugate()
+    e = lam.norm_sq + nu2t.norm_sq - lam.size
+    return (_mono(e, -e + lam.kappa + nu2t.norm_sq, refined)
+            * _tilde_z(nu2t, "t", refined)
+            * _schur(lam, "q", nu2, "t", refined))
+
+
+@cache
+def c_brane_g(gamma, beta, nu1, refined):
+    """First vertex on the gamma side; the color sits at the conjugate shift."""
+    nu1t = nu1.conjugate()
+    e = beta.norm_sq + nu1t.norm_sq + gamma.size - beta.size
+    return (_mono(-e + beta.kappa, e, refined)
+            * _p_at_rho(nu1t, refined)
+            * _schur(gamma, "q", nu1t, "t", refined)
+            * _schur(beta, "t", nu1, "q", refined))
+
+
+@cache
+def c_plain_g(beta, nu2, refined):
+    e = nu2.norm_sq + beta.size
+    return (_mono(-e, e, refined) * _p_at_rho(nu2, refined)
+            * _schur(beta, "q", nu2, "t", refined))
+
+
 def reference_open_local(alpha, gamma, refined, cutoff):
     """The square graph's open amplitude for internal (conjugated) colors,
     summed over nu1, nu2 and every fiber leg lam, beta from the blocks."""
@@ -379,16 +435,16 @@ def reference_open_local(alpha, gamma, refined, cutoff):
             for lam in parts:
                 if lam.size + r > cutoff:
                     continue
-                tA = (_c_brane(lam, alpha, nu1, refined)
+                tA = (c_brane(lam, alpha, nu1, refined)
                       * _framing(lam, ("t", "q"), refined)
-                      * _c_plain(lam, nu2, refined))
+                      * c_plain(lam, nu2, refined))
                 aside.setdefault(lam.size, []).append(tA * (-1) ** lam.size)
             for beta in parts:
                 if beta.size + r > cutoff:
                     continue
-                tG = (_c_brane_g(gamma, beta, nu1, refined)
+                tG = (c_brane_g(gamma, beta, nu1, refined)
                       * _framing(beta, ("q", "t"), refined)
-                      * _c_plain_g(beta, nu2, refined))
+                      * c_plain_g(beta, nu2, refined))
                 gside.setdefault(beta.size, []).append(tG * (-1) ** beta.size)
             asums = {s: RationalFunction.sum_of(v) for s, v in aside.items()}
             gsums = {s: RationalFunction.sum_of(v) for s, v in gside.items()}

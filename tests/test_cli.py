@@ -92,6 +92,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["expand", "--alpha", "[1]", "--coeff", "1,0", "--max-q-order", "30"],
         ["check", "--fixtures-dir", "/nonexistent"],
         ["compute", "--alpha", "[99999999999999999999]"],
+        # above sys.maxsize, so it fails before anything is allocated
+        ["compute", "--alpha", "[99999999999999999999]",
+         "--max-cutoff", "100000000000000000000"],
+        ["compute", "--gamma", "[99999999999999999999]",
+         "--max-cutoff", "100000000000000000000"],
         ["compute", "--alpha", "[1000000]"],
         ["compute", "--alpha", "[5]", "--refined"],
         ["compute", "--alpha", "[2]", "--cutoff", "1", "--max-cutoff", "1"],

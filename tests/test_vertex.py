@@ -1,18 +1,23 @@
-"""The trivalent vertex as the gluing uses it: the four displayed-product
-blocks of the amplitude's table, in both modes, and the edge framings.
+"""The trivalent vertex and the edge framings, in both modes.
+
+The gluing builds its edge factors E1 and E2 from the vertex blocks at
+empty fiber legs; the leg-general vertex, the four displayed-product blocks
+at any fiber leg, is the oracle's, and E1 and E2 are checked against it.
 
 The one-parameter blocks are written out below as the reference the refined
-table must reduce to at t = q, block by block; regular mode computes them as
-that reduction, taken leaf by leaf.  On a fiber leg the blocks, the leg's
-framing and its sign collapse to the blocks at the empty leg times one term
-of a Cauchy sum, which is what lets the gluing sum the fiber legs once for
-every color."""
+blocks must reduce to at t = q, block by block; regular mode computes them
+as that reduction, taken leaf by leaf.  On a fiber leg the blocks, the
+leg's framing and its sign collapse to the blocks at the empty leg times
+one term of a Cauchy sum, which is what lets the gluing sum the fiber legs
+once for every color."""
 
 import pytest
 
-from rp3vertex.amplitude import _c_brane, _c_brane_g, _c_plain, _c_plain_g
-from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
-from rp3vertex.ring import RF_ONE, RationalFunction, rf_equal
+from oracles import c_brane, c_brane_g, c_plain, c_plain_g
+from rp3vertex.amplitude import _edge_brane, _edge_plain, _framing
+from rp3vertex.analysis import CONJECTURE_COLORS
+from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, parse_partition
+from rp3vertex.ring import RF_ONE, RationalFunction
 from rp3vertex.specialize import principal, skew_schur
 from rp3vertex.vertex import framing_refined, framing_regular
 
@@ -50,8 +55,8 @@ def _plain_g_regular(beta, nu2):
     return _s(nu2.conjugate()) * _s(beta, nu2)
 
 
-BLOCKS = [(_c_brane, _brane_regular, 3), (_c_plain, _plain_regular, 2),
-          (_c_brane_g, _brane_g_regular, 3), (_c_plain_g, _plain_g_regular, 2)]
+BLOCKS = [(c_brane, _brane_regular, 3), (c_plain, _plain_regular, 2),
+          (c_brane_g, _brane_g_regular, 3), (c_plain_g, _plain_g_regular, 2)]
 
 
 def _arguments(arity, total):
@@ -71,20 +76,20 @@ def test_trivial_vertices():
 
 def test_vertex_regular_third_leg_only():
     # the brane block with both colors empty is the one-leg vertex
-    assert rf_equal(_c_brane(EMPTY, EMPTY, BOX, False), qh / (1 - q))
+    assert c_brane(EMPTY, EMPTY, BOX, False) == qh / (1 - q)
     for nu in enumerate_up_to(6):
         want = skew_schur(nu.conjugate(), EMPTY, principal("q"))
-        assert rf_equal(_c_brane(EMPTY, EMPTY, nu, False), want), nu
+        assert c_brane(EMPTY, EMPTY, nu, False) == want, nu
 
 
 def test_vertex_regular_single_box_symmetry():
-    assert rf_equal(_c_plain(BOX, EMPTY, False), _c_brane(EMPTY, BOX, EMPTY, False))
+    assert c_plain(BOX, EMPTY, False) == c_brane(EMPTY, BOX, EMPTY, False)
 
 
 def test_framing_regular_examples():
     assert framing_regular(EMPTY).is_one()
-    assert rf_equal(framing_regular(BOX), -RF_ONE)
-    assert rf_equal(framing_regular(Partition([2])), 1 / q)
+    assert framing_regular(BOX) == -RF_ONE
+    assert framing_regular(Partition([2])) == 1 / q
 
 
 def _edge_pair(nu1, nu2):
@@ -94,7 +99,7 @@ def _edge_pair(nu1, nu2):
 
 def test_framing_refined_pair_examples():
     assert _edge_pair(EMPTY, EMPTY).is_one()
-    assert rf_equal(_edge_pair(BOX, EMPTY), -RF_ONE)
+    assert _edge_pair(BOX, EMPTY) == -RF_ONE
 
 
 def test_framing_refined_pair_reduces():
@@ -102,7 +107,7 @@ def test_framing_refined_pair_reduces():
         for nu2 in enumerate_up_to(4 - nu1.size):
             left = _edge_pair(nu1, nu2).substitute_t_eq_q()
             right = framing_regular(nu1) * framing_regular(nu2)
-            assert rf_equal(left, right), (nu1, nu2)
+            assert left == right, (nu1, nu2)
 
 
 def test_framing_refined_order_contract():
@@ -111,20 +116,20 @@ def test_framing_refined_order_contract():
 
 
 def test_vertex_refined_third_leg_value():
-    assert rf_equal(_c_brane(EMPTY, EMPTY, BOX, True), qh / (1 - t))
+    assert c_brane(EMPTY, EMPTY, BOX, True) == qh / (1 - t)
 
 
 def test_vertex_refined_swapped_order():
     # the gamma-side brane block carries the parameters exchanged
-    assert rf_equal(_c_brane_g(EMPTY, EMPTY, BOX, True), th / (1 - q))
+    assert c_brane_g(EMPTY, EMPTY, BOX, True) == th / (1 - q)
 
 
 def test_vertex_refined_reduces_to_regular():
     for block, regular, arity in BLOCKS:
         for args in _arguments(arity, 3):
             want = regular(*args)
-            assert rf_equal(block(*args, True).substitute_t_eq_q(), want), (block, args)
-            assert rf_equal(block(*args, False), want), (block, args)
+            assert block(*args, True).substitute_t_eq_q() == want, (block, args)
+            assert block(*args, False) == want, (block, args)
 
 
 def _leg(lam, nu1, nu2, refined):
@@ -149,15 +154,15 @@ def test_fiber_leg_collapses_to_a_cauchy_term(refined):
                 schurs, (frame_a, frame_g), weight = _leg(lam, nu1, nu2, refined)
                 sign = (-1) ** lam.size
                 for color in (EMPTY, Partition([2, 1])):
-                    got = (sign * _c_brane(lam, color, nu1, refined) * frame_a
-                           * _c_plain(lam, nu2, refined))
-                    want = (_c_brane(EMPTY, color, nu1, refined)
-                            * _c_plain(EMPTY, nu2, refined) * weight * schurs)
+                    got = (sign * c_brane(lam, color, nu1, refined) * frame_a
+                           * c_plain(lam, nu2, refined))
+                    want = (c_brane(EMPTY, color, nu1, refined)
+                            * c_plain(EMPTY, nu2, refined) * weight * schurs)
                     assert got == want, ("lambda", lam, nu1, nu2, color)
-                    got = (sign * _c_brane_g(color, lam, nu1, refined) * frame_g
-                           * _c_plain_g(lam, nu2, refined))
-                    want = (_c_brane_g(color, EMPTY, nu1, refined)
-                            * _c_plain_g(EMPTY, nu2, refined) / weight * schurs)
+                    got = (sign * c_brane_g(color, lam, nu1, refined) * frame_g
+                           * c_plain_g(lam, nu2, refined))
+                    want = (c_brane_g(color, EMPTY, nu1, refined)
+                            * c_plain_g(EMPTY, nu2, refined) / weight * schurs)
                     assert got == want, ("beta", lam, nu1, nu2, color)
 
 
@@ -166,3 +171,23 @@ def test_vertex_values_nonvanishing():
         for args in _arguments(arity, 4):
             for refined in (False, True):
                 assert not block(*args, refined).is_zero(), (block, args, refined)
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_edges_are_the_general_blocks_at_empty_legs(refined):
+    # term for term and factor for factor, not only as values
+    colors = [(parse_partition(a).conjugate(), parse_partition(g).conjugate())
+              for a, g in CONJECTURE_COLORS]
+    for nu in enumerate_up_to(4 if refined else 5):
+        sign = (-1) ** nu.size
+        want = (sign * _framing(nu, ("q", "t"), refined)
+                * c_plain(EMPTY, nu, refined) * c_plain_g(EMPTY, nu, refined))
+        got = _edge_plain(nu, refined)
+        assert (got.num.terms, got.factors) == (want.num.terms, want.factors), nu
+        for alpha, gamma in colors:
+            want = (sign * _framing(nu, ("t", "q"), refined)
+                    * c_brane(EMPTY, alpha, nu, refined)
+                    * c_brane_g(gamma, EMPTY, nu, refined))
+            got = _edge_brane(alpha, gamma, nu, refined)
+            assert (got.num.terms, got.factors) == (want.num.terms, want.factors), \
+                (alpha, gamma, nu)
