@@ -19,9 +19,15 @@ Conventions fixed here and validated against the display fixtures:
   over the box alphabet B(nu1,nu2), so F(nu1,nu2,s) = sum_a F0_a h_(s-a)(B_w),
   F0 = F(0,0,.), B_w = wB + B/w, and Z(r,s) = sum_a F0_a G(r,s-a) with the
   color-dependent G(r,n) = sum_{|nu1|+|nu2|=r} E1 E2 h_n(B_w), h_n a Laurent
-  polynomial.  Sums take the factor-wise LCM and never cancel, so both
-  groupings carry LCM_nu fac(E1 E2) + LCM_(a<=s) fac(F0_a), hence one printed
-  form.  U_k(0,0) stays a Schur sum; hook forms would print other factors.
+  polynomial.  Sums take the factor-wise LCM and never cancel, so for the
+  raw series both groupings carry LCM_nu fac(E1 E2) + LCM_(a<=s) fac(F0_a),
+  hence one printed form.  U_k(0,0) stays a Schur sum; hook forms would
+  print other factors.
+* Z = F0(Q_f) G(Q_b, Q_f) is a Cauchy product in Q_f and F0 is color-free,
+  so F0 cancels from the normalized invariant: Z_open / Z_closed =
+  strip * G_open / G_closed, with G_closed(0,n) = delta_(n0).  Normalized
+  square-graph series are built so and print the quotient's forms; F0 and
+  the F0 G sums serve only raw and colorless series.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -169,7 +175,8 @@ def _box_h(nu1, nu2, n, refined):
     return tuple(finite_h(letters if refined else [(eq + et, 0) for eq, et in letters], n))
 
 
-def _open_local(alpha, gamma, refined, cutoff):
+def _g_rows(alpha, gamma, refined, cutoff):
+    """G(r, n) = sum_{|nu1|+|nu2|=r} E1 E2 h_n(B_w) for r + n <= cutoff."""
     g = {}
     for nu1 in enumerate_up_to(cutoff):
         e1 = _edge_brane(alpha, gamma, nu1, refined)
@@ -178,7 +185,12 @@ def _open_local(alpha, gamma, refined, cutoff):
             edges = e1 * _edge_plain(nu2, refined)
             for n, h in enumerate(_box_h(nu1, nu2, cutoff - r, refined)):
                 g.setdefault((r, n), []).append(edges * h)
-    g = {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
+    return {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
+
+
+def _open_local(alpha, gamma, refined, cutoff):
+    """Z(r, s) = sum_a F0_a G(r, s - a), stripped of the color monomial."""
+    g = _g_rows(alpha, gamma, refined, cutoff)
     strip = RF_ONE / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
         _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) * strip for r, s in g})
@@ -228,6 +240,14 @@ def normalize(open_series, closed_series):
 
 def normalized_amplitude(spec):
     """The normalized invariant: open amplitude over the closed one for the
-    same geometry and refinement."""
-    return normalize(open_amplitude(spec),
-                     closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
+    same geometry and refinement.  On the square graph F0 cancels, so it is
+    strip * G_open / G_closed, where G_closed(0, n) = delta_(n0)."""
+    if spec.geometry == "resolved_conifold":
+        return normalize(open_amplitude(spec),
+                         closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
+    alpha, gamma = spec.alpha.conjugate(), spec.gamma.conjugate()
+    strip = RF_ONE / _color_monomial(alpha, gamma, spec.refined)
+    g_open = _g_rows(alpha, gamma, spec.refined, spec.cutoff)
+    return normalize(
+        KahlerSeries(spec.cutoff, {rn: g * strip for rn, g in g_open.items()}),
+        KahlerSeries(spec.cutoff, _g_rows(EMPTY, EMPTY, spec.refined, spec.cutoff)))

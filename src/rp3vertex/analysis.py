@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
-from .amplitude import AmplitudeSpec, normalize, open_amplitude
+from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .partitions import EMPTY, Partition, parse_partition
 from .ring import ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, graded
 
@@ -247,20 +247,15 @@ class SuiteRunner:
 
     def series(self, alpha, gamma, refined, cutoff=DEEP_CUTOFF,
                geometry="local_p1xp1", normalized=True):
-        """The open series for colors alpha, gamma (partitions), divided by
-        the closed one unless normalized is False; the closed series is the
-        raw series with empty colors."""
+        """The normalized invariant for colors alpha, gamma (partitions), or
+        the raw open series when normalized is False; the closed series is
+        the raw series with empty colors."""
         key = (geometry, alpha, gamma, refined, cutoff, normalized)
         if key not in self._memo:
-            if normalized:
-                value = normalize(
-                    self.series(alpha, gamma, refined, cutoff, geometry, False),
-                    self.series(EMPTY, EMPTY, refined, cutoff, geometry, False))
-            else:
-                value = open_amplitude(AmplitudeSpec(
-                    geometry=geometry, alpha=alpha, gamma=gamma,
-                    refined=refined, cutoff=cutoff))
-            self._memo[key] = value
+            build = normalized_amplitude if normalized else open_amplitude
+            self._memo[key] = build(AmplitudeSpec(
+                geometry=geometry, alpha=alpha, gamma=gamma,
+                refined=refined, cutoff=cutoff))
         return self._memo[key]
 
     def run(self, pattern=None):

@@ -43,6 +43,26 @@ def _coeff_of(item):
     return _tighten(Fraction(int(item["num"]), int(item["den"])))
 
 
+def _int_of(item, key):
+    """item[key], which the JSON must hold as an integer: a bool, float or
+    string there is a ValueError, not silently read as another number."""
+    value = item[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} is {value!r}, not an integer")
+    return value
+
+
+def _unique(pairs, what):
+    """dict(pairs); a ValueError if a key repeats, instead of the last
+    entry silently winning."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated {what} {key}")
+        out[key] = value
+    return out
+
+
 class Laurent:
     """Laurent polynomial; terms maps doubled (q-exp, t-exp) to a nonzero rational."""
 
@@ -291,8 +311,8 @@ class Laurent:
 
     @staticmethod
     def from_json(data):
-        return Laurent({(int(item["ex"]), int(item["ey"])): _coeff_of(item)
-                        for item in data})
+        return Laurent(_unique((((_int_of(item, "ex"), _int_of(item, "ey")),
+                                 _coeff_of(item)) for item in data), "exponent"))
 
 
 L_ZERO = Laurent()
@@ -924,12 +944,12 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order")):
     def from_json(data):
         if data.get("var", "q") != "q":
             raise ValueError(f"series variable {data['var']!r} is not 'q'")
-        coeffs = {}
-        for item in data["coeffs"]:
-            coeffs[int(item["qe"])] = {int(tt["te"]): _coeff_of(tt)
-                                       for tt in item["poly_t"]}
+        coeffs = _unique(((_int_of(item, "qe"),
+                           _unique(((_int_of(tt, "te"), _coeff_of(tt))
+                                    for tt in item["poly_t"]), "te"))
+                          for item in data["coeffs"]), "qe")
         pref = Laurent.from_json(data["prefactor"]) if data.get("prefactor") else L_ONE
-        return QSeries(pref, coeffs, int(data["order"]))
+        return QSeries(pref, coeffs, _int_of(data, "order"))
 
 
 def expand(rf, q_order):
@@ -1100,15 +1120,20 @@ class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
 
     @staticmethod
     def from_json(data):
+        terms, cutoff = data["terms"], _int_of(data, "cutoff")
         coeffs = {}
         determined = set()
-        for item in data["terms"]:
-            rs = (int(item["r"]), int(item["s"]))
+        for item in terms:
+            rs = (_int_of(item, "r"), _int_of(item, "s"))
+            if min(rs) < 0 or sum(rs) > cutoff:
+                raise ValueError(f"bidegree {rs} outside cutoff {cutoff}")
+            if rs in determined:
+                raise ValueError(f"repeated bidegree {rs}")
             determined.add(rs)
             rf = RationalFunction.from_json(item["coeff"])
             if not rf.is_zero():
                 coeffs[rs] = rf
-        return KahlerSeries(int(data["cutoff"]), coeffs, determined)
+        return KahlerSeries(cutoff, coeffs, determined)
 
 
 def _splits(rs):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
-                                 _fiber0, closed_amplitude, normalize,
+                                 _fiber0, _g_rows, closed_amplitude, normalize,
                                  normalized_amplitude, open_amplitude)
 from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                                   partitions_of)
@@ -220,6 +220,29 @@ def test_normalized_matches_uncancelled_division(geometry, refined):
         opened = open_amplitude(spec)
         got = normalize(opened, closed)
         assert got == reference_series_divide(opened, closed), (alpha, gamma)
+
+
+@pytest.mark.parametrize("refined,cutoff", [(False, 5), (True, 4)],
+                         ids=["regular", "refined"])
+def test_normalized_is_the_g_row_quotient(refined, cutoff):
+    # Z = F0(Q_f) G(Q_b, Q_f) with F0 color-free, so F0 cancels and the
+    # normalized series divides the G rows; it must equal the division of
+    # the full amplitudes, coefficient by coefficient
+    from rp3vertex.analysis import CONJECTURE_COLORS, STRUCTURE_CASES
+    rows = _g_rows(EMPTY, EMPTY, refined, cutoff)
+    assert rows[0, 0].is_one()
+    assert all(rows[0, n].is_zero() for n in range(1, cutoff + 1))
+    closed = closed_amplitude(refined, cutoff)
+    colors = dict.fromkeys(CONJECTURE_COLORS + [(a, g) for a, g, _ in STRUCTURE_CASES])
+    for alpha, gamma in colors:
+        spec = AmplitudeSpec(alpha=parse_partition(alpha), gamma=parse_partition(gamma),
+                             refined=refined, cutoff=cutoff)
+        got = normalized_amplitude(spec)
+        want = normalize(open_amplitude(spec), closed)
+        assert got.determined == want.determined, (alpha, gamma)
+        assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
+        for rs, coeff in want.coeffs.items():
+            assert got.coeffs[rs] == coeff, (alpha, gamma, rs)
 
 
 @pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])

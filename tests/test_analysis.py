@@ -171,21 +171,22 @@ def test_suite_filter_and_summary():
 
 
 def _count_builds(monkeypatch):
-    """Record every open_amplitude spec and every normalized open series
-    the suite runner asks for."""
+    """Record every raw (open_amplitude) and every normalized
+    (normalized_amplitude) spec the suite runner asks for."""
     built, normalized = [], []
-    open_amplitude, normalize = analysis.open_amplitude, analysis.normalize
+    open_amplitude = analysis.open_amplitude
+    normalized_amplitude = analysis.normalized_amplitude
 
     def counting_open(spec):
         built.append(spec)
         return open_amplitude(spec)
 
-    def counting_normalize(open_series, closed_series):
-        normalized.append(open_series)
-        return normalize(open_series, closed_series)
+    def counting_normalized(spec):
+        normalized.append(spec)
+        return normalized_amplitude(spec)
 
     monkeypatch.setattr(analysis, "open_amplitude", counting_open)
-    monkeypatch.setattr(analysis, "normalize", counting_normalize)
+    monkeypatch.setattr(analysis, "normalized_amplitude", counting_normalized)
     return built, normalized
 
 
@@ -193,10 +194,11 @@ def test_suite_filter_computes_only_selected(monkeypatch):
     built, normalized = _count_builds(monkeypatch)
     entries = SuiteRunner().run("fixture:eq2")
     assert [e.report.check_id for e in entries] == ["fixture:eq2"]
-    # the open [1] series and the closed one, both regular at cutoff 3
-    assert len(built) == 2 and len(normalized) == 1
-    assert {(spec.alpha, spec.refined, spec.cutoff) for spec in built} == {
-        (BOX, False, 3), (EMPTY, False, 3)}
+    # only the normalized [1] series, regular at cutoff 3; it builds its
+    # closed denominator itself, so no raw series is asked for
+    assert built == []
+    assert [(spec.alpha, spec.refined, spec.cutoff) for spec in normalized] == [
+        (BOX, False, 3)]
 
 
 def test_suite_table_order_and_single_normalization(monkeypatch):
@@ -207,9 +209,11 @@ def test_suite_table_order_and_single_normalization(monkeypatch):
     # every table id is the id of the report its thunk returns
     assert [e.report.check_id for e in entries] == [row[0] for row in runner.table]
     assert [e.expected for e in entries] == [row[1] for row in runner.table]
-    # each distinct open series is built once and normalized once
-    assert len({id(s) for s in normalized}) == len(normalized) == 27
-    assert len(built) == 32
+    # each distinct series is built and normalized once: 27 normalized
+    # series, and the one raw series, the refined cutoff-3 closed one
+    assert len(set(normalized)) == len(normalized) == 27
+    assert [(spec.alpha, spec.gamma, spec.refined, spec.cutoff) for spec in built] == [
+        (EMPTY, EMPTY, True, 3)]
 
 
 def test_positivity_monotone_in_order():

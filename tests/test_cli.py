@@ -65,6 +65,12 @@ def test_byte_identical_reruns(capsys):
     assert c == d
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 def test_usage_errors(capsys, monkeypatch, tmp_path):
     for argv in (
         ["compute", "--alpha", "1,2"],
@@ -117,7 +123,34 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     with open(os.path.join(fixtures_dir_default(), "sec42_fund_qbqf.json")) as fh:
         in_t = json.load(fh)
     in_t["expected"]["var"] = "t"
-    for text, problem in (("{}", "'id'"), ("[1,2]", "not a JSON object"),
+    # the JSON readers take only integer exponents, bidegrees and orders,
+    # each once, and only bidegrees within the series cutoff
+    broken = []
+    for path, value, problem in (
+            (("terms", 1, "coeff", "den", 1, "ex"), 1.5, "'ex' is 1.5, not an integer"),
+            (("terms", 1, "coeff", "num", 0, "ey"), "0", "'ey' is '0', not an integer"),
+            (("terms", 1, "r"), True, "'r' is True, not an integer"),
+            (("terms", 1, "s"), 1.0, "'s' is 1.0, not an integer"),
+            (("cutoff",), 3.0, "'cutoff' is 3.0, not an integer"),
+            (("cutoff",), 2, "bidegree (0, 3) outside cutoff 2"),
+            (("terms", 1, "r"), -1, "bidegree (-1, 1) outside cutoff 3"),
+            (("terms", 1, "coeff", "den", 1, "ey"), 0, "repeated exponent (0, 0)"),
+            (("terms", 2, "s"), 1, "repeated bidegree (1, 1)")):
+        with open(os.path.join(fixtures_dir_default(), "appB.json")) as fh:
+            fx = json.load(fh)
+        _set(fx["expected"], path, value)
+        broken.append((json.dumps(fx), problem))
+    for path, value, problem in (
+            (("coeffs", 1, "qe"), 2.0, "'qe' is 2.0, not an integer"),
+            (("coeffs", 0, "poly_t", 0, "te"), False, "'te' is False, not an integer"),
+            (("order",), "8", "'order' is '8', not an integer"),
+            (("coeffs", 1, "qe"), 0, "repeated qe 0"),
+            (("coeffs", 1, "poly_t", 0, "te"), 2, "repeated te 2")):
+        with open(os.path.join(fixtures_dir_default(), "sec42_fund_qbqf.json")) as fh:
+            fx = json.load(fh)
+        _set(fx["expected"], path, value)
+        broken.append((json.dumps(fx), problem))
+    for text, problem in broken + [("{}", "'id'"), ("[1,2]", "not a JSON object"),
                           ('{"id": "x"}', "'kind'"), ("nope", "Expecting value"),
                           ('{"id": "x", "kind": "kahler", "spec": {}, "expected": {}}',
                            "spec has no str 'alpha'"),
@@ -130,7 +163,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
                            "spec has no bool 'refined'"),
                           ('{"id": "x", "kind": "other", %s, "expected": {}}' % spec,
                            "unknown fixture kind 'other'"),
-                          (json.dumps(in_t), "series variable 't' is not 'q'")):
+                          (json.dumps(in_t), "series variable 't' is not 'q'")]:
         (tmp_path / "bad.json").write_text(text)
         with pytest.raises(SystemExit) as err:
             main(["check", "--fixtures-dir", str(tmp_path)])
@@ -153,8 +186,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
 # sha256 of `compute --output json --cutoff 4 --alpha [1,1] --gamma [1]`
 # stdout: any change of printed form, even of an equal value, shows here
 PRINTED_SHA256 = {
-    "regular": "efc1bfb8013e8986dc6dd5d090053523f5dd4c6f61a09333c8bad68bab2869ed",
-    "refined": "960abe20771ea635a41ed6482a81dda0c9c73910521290be547c72cd9eca49ce",
+    "regular": "c3f874bfccd8bb691d4d3cccdf55e2ca8a038254cf52a5d5e58ecaf3f440800e",
+    "refined": "7ea32e37c3f8325e7b0e8a715e840c6da170615612ade8a8b76bc9f8779b8324",
     "regular-raw": "19af5e6192cacb45b7a8c7c43f3e780d88faa84c7cf4792fa6814559d496a98e",
     "refined-raw": "40e9a096961c3bc43d6cb8d9056109a646fa104e2dd907f4c37b1e59106777e4",
 }
@@ -169,13 +202,13 @@ def test_compute_json_bytes_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == PRINTED_SHA256[case]
 
 
-# deeper pins: every r >= 1 coefficient is a sum regrouped around the fiber
-# kernel, so these reach regrouped sums of more terms than cutoff 4 does
+# deeper pins: the normalized series is the quotient of the G rows, so these
+# reach quotient coefficients built from longer G sums than cutoff 4 does
 DEEP_PRINTED_SHA256 = {
     "--cutoff 6 --alpha [1] --gamma [1,1]":
-        "204f5c0777891559e3a5009363e24fbeaf0db20fd1943cff4004083cf63d76c4",
+        "835d3287880c27f910243bc3785a9dccf7d9db3aaa6714324e57dc2cf52ac3d3",
     "--refined --cutoff 5 --alpha [1,1,1]":
-        "57a7a790b8283db8debea501a48ad3a4a7338ef6d7df08b22c49ebf5c441c602",
+        "5a44f941d83c3d25c314c07814c042396ad922c01277f9462318d1e7247d90df",
 }
 
 

@@ -558,10 +558,10 @@ def test_packed_lift_declines():
 
 
 def test_compute_sums_agree_on_both_kernels(monkeypatch):
-    """Every sum of a refined cutoff-5 [1,1]x[1] normalized compute, from a
-    cold start, through both kernels."""
+    """Every sum of a refined cutoff-5 [1,1]x[1] normalized compute and of
+    its raw open amplitude, from a cold start, through both kernels."""
     from rp3vertex import amplitude, partitions, specialize, vertex
-    from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude
+    from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
     from rp3vertex.partitions import parse_partition
 
     counts = {"sums": 0, "packed": 0}
@@ -580,11 +580,12 @@ def test_compute_sums_agree_on_both_kernels(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    # cutoff 5 makes 163 sums; cutoff 4 makes only 97 since the gluing
-    # sums the fiber legs through the box alphabet
-    normalized_amplitude(AmplitudeSpec(alpha=parse_partition("[1,1]"),
-                                       gamma=parse_partition("[1]"),
-                                       refined=True, cutoff=5))
+    # the normalized series divides the G rows and makes 96 sums; the raw
+    # one (--raw) also makes the F0 * G sums, 179 sums in all
+    spec = AmplitudeSpec(alpha=parse_partition("[1,1]"), gamma=parse_partition("[1]"),
+                         refined=True, cutoff=5)
+    normalized_amplitude(spec)
+    open_amplitude(spec)
     # the engine's sums all have integer coefficients and packable factors
     assert counts["sums"] > 100 and counts["packed"] == counts["sums"]
 

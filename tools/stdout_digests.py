@@ -6,10 +6,17 @@ Usage:
 Each command runs in this interpreter through `rp3vertex.cli.main`, from a
 cold start: every `functools.cache` of the package is cleared before it,
 so a value is built as a fresh process would build it.  Each line is the digest of one
-command's stdout, its exit code and its argv; the last line digests all of
+command's stdout, its exit code and its argv; the `total` line digests all of
 them in order.  Two checkouts print the same total exactly when every
 command prints the same bytes and exits alike, so comparing totals before
 and after a change that must keep the printed forms shows that it did.
+
+The last line, `values`, digests what the JSON outputs mean rather than how
+they print, so it stays equal across a change that keeps every value but
+moves printed forms.  A `compute --output json` series enters as the exact
+value of each determined coefficient at two rational points; the other
+JSON outputs (`check`, `expand`) hold no rational function and enter as
+their stdout bytes.  Text outputs enter only the bytes total.
 
 The list: `check --suite all --output json`; `compute --output json` at
 cutoff 4 for 7 alphas x 3 gammas x both modes x both geometries, each
@@ -25,8 +32,10 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -38,6 +47,9 @@ EXPAND_ALPHAS = ["[1]", "[2]", "[1,1]"]
 EXPAND_GAMMAS = ["[]", "[1]"]
 COMPARE_COLORS = [("[]", "[]"), ("[1]", "[]"), ("[1]", "[1]"), ("[2]", "[1]"),
                   ("[1,1]", "[1]"), ("[2,1]", "[]")]
+# (q^1/2, t^1/2) at which the values total evaluates each compute
+# coefficient; the same two points as DIGEST_POINTS in perfbench/run.py
+VALUE_POINTS = ((Fraction(3, 5), Fraction(2, 7)), (Fraction(-7, 4), Fraction(5, 11)))
 
 
 def commands():
@@ -75,8 +87,24 @@ def cold_start():
                 value.cache_clear()
 
 
+def values(command, stdout):
+    """What a JSON stdout means: a compute series as its coefficients' exact
+    values at VALUE_POINTS (its other fields as printed), any other JSON
+    output as printed."""
+    if command[0] != "compute" or not stdout:
+        return stdout
+    doc = json.loads(stdout)
+    series = ring.KahlerSeries.from_json(doc.pop("series"))
+    rows = [json.dumps(doc, sort_keys=True)]
+    for r, s in ring.graded(series.determined):
+        rf = series.coeff(r, s)
+        rows.append(f"({r},{s})=" + ",".join(str(rf.evaluate(qh, th))
+                                             for qh, th in VALUE_POINTS))
+    return "\n".join(rows)
+
+
 def main():
-    total = hashlib.sha256()
+    total, value_total = hashlib.sha256(), hashlib.sha256()
     for command in commands():
         cold_start()
         out = io.StringIO()
@@ -85,11 +113,16 @@ def main():
                 code = cli.main(command)
             except SystemExit as exc:
                 code = exc.code
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        stdout = out.getvalue()
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
         line = f"{digest} {code} {' '.join(command)}"
         total.update(line.encode() + b"\n")
         print(line, flush=True)
+        if "json" in command:
+            digest = hashlib.sha256(values(command, stdout).encode()).hexdigest()
+            value_total.update(f"{digest} {code} {' '.join(command)}\n".encode())
     print(f"total {total.hexdigest()}")
+    print(f"values {value_total.hexdigest()}")
 
 
 if __name__ == "__main__":
