@@ -27,7 +27,9 @@ Conventions fixed here and validated against the display fixtures:
   so F0 cancels from the normalized invariant: Z_open / Z_closed =
   strip * G_open / G_closed, with G_closed(0,n) = delta_(n0).  Normalized
   square-graph series are built so and print the quotient's forms; F0 and
-  the F0 G sums serve only raw and colorless series.
+  the F0 G sums serve only raw and colorless series.  The closed rows
+  G_closed are cached, one entry per (mode, cutoff), and shared by every
+  normalized series and the colorless raw one.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -39,10 +41,10 @@ Conventions fixed here and validated against the display fixtures:
   exact, never gauge.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
-from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
+from .partitions import EMPTY, enumerate_up_to, partitions_of
 from .ring import RF_ONE, KahlerSeries, RationalFunction, series_divide
 from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
@@ -50,21 +52,18 @@ from .vertex import framing_refined, framing_regular
 GEOMETRIES = ("local_p1xp1", "resolved_conifold")
 
 
-@dataclass(frozen=True)
-class AmplitudeSpec:
+class AmplitudeSpec(namedtuple("AmplitudeSpec", "geometry alpha gamma refined cutoff")):
     """What to compute: geometry, brane colors, refinement, truncation."""
 
-    geometry: str = "local_p1xp1"
-    alpha: Partition = EMPTY
-    gamma: Partition = EMPTY
-    refined: bool = False
-    cutoff: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.cutoff < 0:
+    def __new__(cls, geometry="local_p1xp1", alpha=EMPTY, gamma=EMPTY, refined=False,
+                cutoff=3):
+        if geometry not in GEOMETRIES:
+            raise ValueError(f"unknown geometry {geometry!r}")
+        if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
+        return super().__new__(cls, geometry, alpha, gamma, refined, cutoff)
 
 
 # -- leaves: the refined value, or its value at t = q -----------------------
@@ -188,9 +187,16 @@ def _g_rows(alpha, gamma, refined, cutoff):
     return {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
 
 
+@cache
+def _closed_rows(refined, cutoff):
+    """G_closed: the rows at empty colors, built once per (mode, cutoff)."""
+    return _g_rows(EMPTY, EMPTY, refined, cutoff)
+
+
 def _open_local(alpha, gamma, refined, cutoff):
     """Z(r, s) = sum_a F0_a G(r, s - a), stripped of the color monomial."""
-    g = _g_rows(alpha, gamma, refined, cutoff)
+    g = (_g_rows(alpha, gamma, refined, cutoff) if alpha or gamma
+         else _closed_rows(refined, cutoff))
     strip = RF_ONE / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
         _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) * strip for r, s in g})
@@ -250,4 +256,4 @@ def normalized_amplitude(spec):
     g_open = _g_rows(alpha, gamma, spec.refined, spec.cutoff)
     return normalize(
         KahlerSeries(spec.cutoff, {rn: g * strip for rn, g in g_open.items()}),
-        KahlerSeries(spec.cutoff, _g_rows(EMPTY, EMPTY, spec.refined, spec.cutoff)))
+        KahlerSeries(spec.cutoff, _closed_rows(spec.refined, spec.cutoff)))

@@ -8,7 +8,6 @@ naming the first offending coefficient.  Finite-order conjecture checks are
 import fnmatch
 import json
 import os
-from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
@@ -17,12 +16,12 @@ from .partitions import EMPTY, Partition, parse_partition
 from .ring import ExpansionError, KahlerSeries, QSeries, RF_ZERO, expand, graded
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    verdict: str                 # pass | fail | inconclusive
-    witness: str | None = None
-    detail: str = ""
+    def __init__(self, check_id, verdict, witness=None, detail=""):
+        self.check_id = check_id
+        self.verdict = verdict   # pass | fail | inconclusive
+        self.witness = witness
+        self.detail = detail
 
     def to_json(self):
         out = {"check_id": self.check_id, "verdict": self.verdict}
@@ -221,10 +220,10 @@ def selects(pattern, check_id):
     return check_id == pattern or fnmatch.fnmatchcase(check_id, pattern)
 
 
-@dataclass
 class SuiteEntry:
-    report: CheckReport
-    expected: str = "pass"
+    def __init__(self, report, expected="pass"):
+        self.report = report
+        self.expected = expected
 
     @property
     def ok(self):
@@ -235,56 +234,70 @@ class SuiteRunner:
     """Runs the fixture and conjecture checks.
 
     `table` lists every check as (check_id, expected verdict, thunk) in
-    report order; `run` selects rows by id before it calls any thunk, and
-    the thunks share one memo in which each distinct series is built once.
+    report order, and `_cutoffs[i]` is the total degree at which row i reads
+    its series.  `run` selects rows by id before it calls any thunk.  The
+    thunks share one memo that keeps each distinct series once, built at the
+    deepest cutoff the selected checks read; a shallower read gets its
+    exact truncation.
     """
 
     def __init__(self, fixtures_dir=None, q_order=20):
         self.fixtures = load_fixtures(fixtures_dir)
         self.q_order = q_order
         self._memo = {}
+        self._cutoffs = []
         self.table = self._build_table()
 
-    def series(self, alpha, gamma, refined, cutoff=DEEP_CUTOFF,
-               geometry="local_p1xp1", normalized=True):
+    def series(self, alpha, gamma, refined, cutoff, geometry="local_p1xp1",
+               normalized=True):
         """The normalized invariant for colors alpha, gamma (partitions), or
         the raw open series when normalized is False; the closed series is
         the raw series with empty colors."""
-        key = (geometry, alpha, gamma, refined, cutoff, normalized)
-        if key not in self._memo:
+        key = (geometry, alpha, gamma, refined, normalized)
+        built = self._memo.get(key)
+        if built is None or built.cutoff < cutoff:
             build = normalized_amplitude if normalized else open_amplitude
-            self._memo[key] = build(AmplitudeSpec(
+            built = self._memo[key] = build(AmplitudeSpec(
                 geometry=geometry, alpha=alpha, gamma=gamma,
                 refined=refined, cutoff=cutoff))
-        return self._memo[key]
+        return built if built.cutoff == cutoff else built.truncated(cutoff)
 
     def run(self, pattern=None):
         """Entries for the checks that the pattern selects (every check when
-        it is None), in table order; only these are computed."""
-        return [SuiteEntry(thunk(), expected)
-                for check_id, expected, thunk in self.table
-                if pattern is None or selects(pattern, check_id)]
+        it is None), in table order; only these are computed.  They are
+        computed deepest cutoff first, so each series is built once."""
+        picked = [i for i, (check_id, _expected, _thunk) in enumerate(self.table)
+                  if pattern is None or selects(pattern, check_id)]
+        reports = {i: self.table[i][2]()
+                   for i in sorted(picked, key=self._cutoffs.__getitem__, reverse=True)}
+        return [SuiteEntry(reports[i], self.table[i][1]) for i in picked]
 
     def _build_table(self):
         table = []
 
-        def add(check_id, method, *args, expected="pass"):
-            table.append((check_id, expected, partial(method, *args, check_id)))
+        def add(check_id, cutoff, method, *args, expected="pass"):
+            """A row whose thunk reads its series at this cutoff."""
+            self._cutoffs.append(cutoff)
+            table.append((check_id, expected, partial(method, *args, cutoff, check_id)))
 
         for fx in self.fixtures:
-            add(f"fixture:{fx['id']}", self._fixture, fx)
+            add(f"fixture:{fx['id']}", fx["spec"]["cutoff"], self._fixture, fx)
 
         for alpha, gamma in CONJECTURE_COLORS:
             tag = f"{alpha}{gamma}"
             colors = (parse_partition(alpha), parse_partition(gamma))
             for refined in (False, True):
                 mode = "refined" if refined else "regular"
-                add(f"positivity:{tag}:{mode}", self._positivity, *colors, refined)
-                add(f"support:{tag}:{mode}", self._support, *colors, refined)
-            add(f"reduction:{tag}", self._reduction, *colors)
+                add(f"positivity:{tag}:{mode}", DEEP_CUTOFF, self._positivity,
+                    *colors, refined)
+                add(f"support:{tag}:{mode}", DEEP_CUTOFF, self._support, *colors,
+                    refined)
+            add(f"reduction:{tag}", DEEP_CUTOFF, self._reduction, *colors)
 
-        add("symmetry:closed", self._symmetry, EMPTY, False)
-        add("symmetry:open_fundamental", self._symmetry, Partition([1]), True,
+        # parameter exchange on the refined series: the closed one (raw), or
+        # the open one with color [1] (normalized)
+        add("symmetry:closed", 3, self._symmetry, EMPTY, False)
+        add("symmetry:open_fundamental", 3, self._symmetry, Partition([1]), True,
             expected="fail")
 
         # the pure-base truncation and no-pure-fiber observations
@@ -292,62 +305,61 @@ class SuiteRunner:
             colors = (parse_partition(alpha), parse_partition(gamma))
             for refined in (False, True):
                 tag = f"{alpha}{gamma}:{'refined' if refined else 'regular'}"
-                add(f"structure:pure_base:{tag}", self._vanishing, *colors, refined,
-                    "pure-base", [(r, 0) for r in range(start, DEEP_CUTOFF + 1)])
-                add(f"structure:no_pure_fiber:{tag}", self._vanishing, *colors,
-                    refined, "pure-fiber",
+                add(f"structure:pure_base:{tag}", DEEP_CUTOFF, self._vanishing,
+                    *colors, refined, "pure-base",
+                    [(r, 0) for r in range(start, DEEP_CUTOFF + 1)])
+                add(f"structure:no_pure_fiber:{tag}", DEEP_CUTOFF, self._vanishing,
+                    *colors, refined, "pure-fiber",
                     [(0, s) for s in range(1, DEEP_CUTOFF + 1)])
 
         # cross-geometry Hopf comparison: equal leading, opposite first base
         # coefficient, genuinely different second one
-        add("comparison:leading", self._hopf_base, 0, False, True,
+        add("comparison:leading", 3, self._hopf_base, 0, False, True,
             "leading coefficients differ")
-        add("comparison:first_base", self._hopf_base, 1, True, True,
+        add("comparison:first_base", 3, self._hopf_base, 1, True, True,
             "first base coefficients are not opposite")
-        add("comparison:second_base", self._hopf_base, 2, False, False,
+        add("comparison:second_base", 3, self._hopf_base, 2, False, False,
             "second base coefficients coincide")
         return table
 
-    # -- the thunks; each takes its check id last ----------------------------
+    # -- the thunks; each takes its cutoff and check id last -----------------
 
-    def _fixture(self, fx, check_id):
+    def _fixture(self, fx, cutoff, check_id):
         spec = fx["spec"]
         computed = self.series(
             parse_partition(spec["alpha"]), parse_partition(spec["gamma"]),
-            spec["refined"], spec["cutoff"], spec["geometry"], spec["normalized"])
+            spec["refined"], cutoff, spec["geometry"], spec["normalized"])
         return fixture_compare(fx, computed, check_id)
 
-    def _positivity(self, alpha, gamma, refined, check_id):
-        return positivity_check(self.series(alpha, gamma, refined), self.q_order,
-                                refined, check_id)
+    def _positivity(self, alpha, gamma, refined, cutoff, check_id):
+        return positivity_check(self.series(alpha, gamma, refined, cutoff),
+                                self.q_order, refined, check_id)
 
-    def _support(self, alpha, gamma, refined, check_id):
-        return support_check(self.series(alpha, gamma, refined), alpha, gamma,
+    def _support(self, alpha, gamma, refined, cutoff, check_id):
+        return support_check(self.series(alpha, gamma, refined, cutoff), alpha, gamma,
                              check_id)
 
-    def _reduction(self, alpha, gamma, check_id):
-        return reduction_check(self.series(alpha, gamma, True),
-                               self.series(alpha, gamma, False), check_id)
+    def _reduction(self, alpha, gamma, cutoff, check_id):
+        return reduction_check(self.series(alpha, gamma, True, cutoff),
+                               self.series(alpha, gamma, False, cutoff), check_id)
 
-    def _symmetry(self, alpha, normalized, check_id):
-        """Parameter exchange on the refined cutoff-3 series: the closed one
-        (raw), or the open one with color alpha (normalized)."""
-        series = self.series(alpha, EMPTY, True, 3, normalized=normalized)
+    def _symmetry(self, alpha, normalized, cutoff, check_id):
+        series = self.series(alpha, EMPTY, True, cutoff, normalized=normalized)
         return symmetry_check_tq(series, check_id)
 
-    def _vanishing(self, alpha, gamma, refined, what, cells, check_id):
-        zhat = self.series(alpha, gamma, refined)
+    def _vanishing(self, alpha, gamma, refined, what, cells, cutoff, check_id):
+        zhat = self.series(alpha, gamma, refined, cutoff)
         for r, s in cells:
             if not zhat.coeffs.get((r, s), RF_ZERO).is_zero():
                 return CheckReport(check_id, "fail",
                                    witness=f"nonzero {what} coefficient at ({r},{s})")
         return CheckReport(check_id, "pass")
 
-    def _hopf_base(self, r, opposite, equal, message, check_id):
-        """Whether the regular cutoff-3 Hopf coefficient at (r,0) of the
-        single-edge geometry equals (or, with opposite, is minus) that of
-        the square graph, as equal demands."""
-        hopf = (Partition([1]), Partition([1]), False, 3)
+    def _hopf_base(self, r, opposite, equal, message, cutoff, check_id):
+        """Whether the regular Hopf coefficient at (r,0) of the single-edge
+        geometry equals (or, with opposite, is minus) that of the square
+        graph, as equal demands."""
+        hopf = (Partition([1]), Partition([1]), False, cutoff)
         local = self.series(*hopf).coeff(r, 0)
         con = self.series(*hopf, geometry="resolved_conifold").coeff(r, 0)
         ok = (con == (-local if opposite else local)) == equal

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .analysis import SuiteRunner, summary_table
@@ -149,8 +148,8 @@ def cmd_compare(args, parser):
         if args.refined:
             parser.error("--mode reduction compares both modes; "
                          "--refined does not apply")
-        regular = _series(replace(spec, refined=False), args.raw)[0]
-        refined = _series(replace(spec, refined=True), args.raw)[0]
+        regular = _series(spec._replace(refined=False), args.raw)[0]
+        refined = _series(spec._replace(refined=True), args.raw)[0]
         reduced = refined.substitute_t_eq_q()
         lines = []
         for rs in graded(regular.determined):
@@ -172,7 +171,7 @@ def cmd_compare(args, parser):
         parser.error("--mode geometries compares normalized series; "
                      "--raw does not apply")
     local = normalized_amplitude(spec)
-    con = normalized_amplitude(replace(spec, geometry="resolved_conifold"))
+    con = normalized_amplitude(spec._replace(geometry="resolved_conifold"))
     lines = []
     for r in range(args.cutoff + 1):
         a = local.coeffs.get((r, 0))

@@ -1090,6 +1090,15 @@ class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
                             {rs: fn(c) for rs, c in self.coeffs.items()},
                             self.determined)
 
+    def truncated(self, cutoff):
+        """The series at a cutoff no deeper than its own: the coefficients
+        and determined bidegrees of total degree <= cutoff, unchanged."""
+        if not 0 <= cutoff <= self.cutoff:
+            raise ValueError(f"cannot truncate cutoff {self.cutoff} at {cutoff}")
+        return KahlerSeries(cutoff,
+                            {rs: c for rs, c in self.coeffs.items() if sum(rs) <= cutoff},
+                            {rs for rs in self.determined if sum(rs) <= cutoff})
+
     def substitute_t_eq_q(self):
         return self.map_coeffs(lambda c: c.substitute_t_eq_q())
 

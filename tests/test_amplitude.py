@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
@@ -163,7 +161,7 @@ def test_conifold_refined_reduces():
         for alpha, gamma in pairs:
             spec = AmplitudeSpec(geometry=geometry, alpha=alpha, gamma=gamma,
                                  cutoff=3)
-            ref = open_amplitude(replace(spec, refined=True))
+            ref = open_amplitude(spec._replace(refined=True))
             reg = open_amplitude(spec)
             assert ref.substitute_t_eq_q().equal_through(reg, 3) is None, spec
 
@@ -243,6 +241,35 @@ def test_normalized_is_the_g_row_quotient(refined, cutoff):
         assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
         for rs, coeff in want.coeffs.items():
             assert got.coeffs[rs] == coeff, (alpha, gamma, rs)
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_deeper_series_truncates_to_the_shallower(refined):
+    # the check suite builds each series once, at the deepest cutoff it
+    # reads, and hands shallower reads its truncation; that is sound only
+    # if every coefficient below the cutoff keeps its numerator and factor
+    # multiset, which fix its printed form, and its determinedness
+    cutoff = 3
+    colors = [("[]", "[]"), ("[1]", "[]"), ("[1,1]", "[]"), ("[2]", "[1]")]
+    for geometry in GEOMETRIES:
+        for alpha, gamma in colors:
+            spec = AmplitudeSpec(geometry=geometry, alpha=parse_partition(alpha),
+                                 gamma=parse_partition(gamma), refined=refined,
+                                 cutoff=cutoff)
+            for build in (open_amplitude, normalized_amplitude):
+                case = (geometry, alpha, gamma, build.__name__)
+                shallow = build(spec)
+                deep = build(spec._replace(cutoff=cutoff + 1))
+                assert {rs for rs in deep.determined if sum(rs) <= cutoff} == \
+                    shallow.determined, case
+                cut = deep.truncated(cutoff)
+                assert (cut.cutoff, cut.determined) == (cutoff, shallow.determined), case
+                assert cut.coeffs.keys() == shallow.coeffs.keys(), case
+                for rs, coeff in shallow.coeffs.items():
+                    assert cut.coeffs[rs].num.terms == coeff.num.terms, (case, rs)
+                    assert cut.coeffs[rs].factors == coeff.factors, (case, rs)
+                with pytest.raises(ValueError):
+                    deep.truncated(cutoff + 2)
 
 
 @pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])

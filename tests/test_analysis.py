@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from rp3vertex import analysis
+from rp3vertex import amplitude, analysis
 from rp3vertex.amplitude import AmplitudeSpec, normalized_amplitude
 from rp3vertex.analysis import (CheckReport, SuiteRunner, fixture_compare,
                                 fixtures_dir_default, load_fixtures,
@@ -170,6 +170,20 @@ def test_suite_filter_and_summary():
     assert "fixture:eq2" in table and "1/1" in table
 
 
+def test_suite_reports_each_row_of_a_shared_id(tmp_path):
+    # check ids come from the fixture files, and two files may carry one
+    # id; each row still gets the report of its own thunk
+    src = fixtures_dir_default()
+    with open(os.path.join(src, "eq2.json")) as fh:
+        doc = json.load(fh)
+    (tmp_path / "eq2.json").write_text(json.dumps(doc))
+    doc["spec"]["alpha"] = "[1,1]"
+    (tmp_path / "eq2_wrong_color.json").write_text(json.dumps(doc))
+    entries = SuiteRunner(str(tmp_path)).run("fixture:eq2")
+    assert [(e.report.check_id, e.report.verdict) for e in entries] == [
+        ("fixture:eq2", "pass"), ("fixture:eq2", "fail")]
+
+
 def _count_builds(monkeypatch):
     """Record every raw (open_amplitude) and every normalized
     (normalized_amplitude) spec the suite runner asks for."""
@@ -203,17 +217,52 @@ def test_suite_filter_computes_only_selected(monkeypatch):
 
 def test_suite_table_order_and_single_normalization(monkeypatch):
     built, normalized = _count_builds(monkeypatch)
+    closed = []
+    g_rows = amplitude._g_rows
+
+    def counting_rows(alpha, gamma, refined, cutoff):
+        if not (alpha or gamma):
+            closed.append((refined, cutoff))
+        return g_rows(alpha, gamma, refined, cutoff)
+
+    monkeypatch.setattr(amplitude, "_g_rows", counting_rows)
+    amplitude._closed_rows.cache_clear()
     runner = SuiteRunner()
     entries = runner.run()
     assert len(entries) == 96 and all(e.ok for e in entries)
     # every table id is the id of the report its thunk returns
     assert [e.report.check_id for e in entries] == [row[0] for row in runner.table]
     assert [e.expected for e in entries] == [row[1] for row in runner.table]
-    # each distinct series is built and normalized once: 27 normalized
-    # series, and the one raw series, the refined cutoff-3 closed one
-    assert len(set(normalized)) == len(normalized) == 27
+    # each distinct series is built and normalized once, at the deepest
+    # cutoff the suite reads it: the 7 conjecture colors in both modes at
+    # cutoff 4, which every fixture reads truncated at 3, and the single-edge
+    # Hopf series at 3; and the one raw series, the refined cutoff-3 closed one
+    assert len(set(normalized)) == len(normalized) == 15
+    assert sorted(spec.cutoff for spec in normalized) == [3] + [4] * 14
     assert [(spec.alpha, spec.gamma, spec.refined, spec.cutoff) for spec in built] == [
         (EMPTY, EMPTY, True, 3)]
+    # the closed G rows are built once per (mode, cutoff)
+    assert sorted(closed) == [(False, 4), (True, 3), (True, 4)]
+
+
+def test_suite_depth_follows_the_selection(monkeypatch):
+    built, normalized = _count_builds(monkeypatch)
+    runner = SuiteRunner()
+    entries = runner.run("fixture:*")
+    assert len(entries) == 44 and all(e.ok for e in entries)
+    # the fixtures read cutoff 3, so nothing is built deeper
+    assert max(spec.cutoff for spec in built + normalized) == 3
+    # a deeper read on the same runner rebuilds the series deeper, and a
+    # shallower one after it reads its truncation at the shallower cutoff
+    normalized.clear()
+    deep = runner.run("positivity:[1][]:regular")
+    assert deep[0].ok and deep[0].report.detail.endswith("at cutoff 4")
+    assert runner.run("fixture:eq2")[0].ok
+    shallow = runner.series(BOX, EMPTY, False, 3)
+    assert shallow.cutoff == 3
+    assert shallow.determined == {(r, s) for r in range(4) for s in range(4 - r)}
+    assert [(spec.alpha, spec.refined, spec.cutoff) for spec in normalized] == [
+        (BOX, False, 4)]
 
 
 def test_positivity_monotone_in_order():

@@ -328,3 +328,18 @@ def test_traced_check_run():
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("PERFBENCH-TRACE ")
                for line in proc.stderr.splitlines()), proc.stderr
+
+
+def test_cli_import_skips_dataclasses():
+    # every command is a cold process; importing dataclasses (and the
+    # inspect module it pulls in) adds about 17 ms to a cold Python 3.11
+    # start on a 2-vCPU host, so the package keeps to plain classes and
+    # named tuples
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rp3vertex.cli; print('dataclasses' in sys.modules)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

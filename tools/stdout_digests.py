@@ -18,14 +18,17 @@ value of each determined coefficient at two rational points; the other
 JSON outputs (`check`, `expand`) hold no rational function and enter as
 their stdout bytes.  Text outputs enter only the bytes total.
 
-The list: `check --suite all --output json`; `compute --output json` at
-cutoff 4 for 7 alphas x 3 gammas x both modes x both geometries, each
-normalized and `--raw`; refined cutoff 7 [1,1]x[1]; one-parameter cutoff 9
-[2,1]x[1]; the benchmark pools' colors at their deep cutoffs (refined
-6, one-parameter 8); `expand` in text and JSON for 3 alphas x 2 gammas x
-both modes x both geometries, each normalized and `--raw`, at bidegrees
-1,0 / 1,1 / 2,1 (1,0 / 2,0 on the single-edge geometry, which determines
-only s = 0); and `compare` in both modes for 6 color pairs.
+The list: `check --suite all --output json`; text `check` for `all` and
+the subsets `fixture:*`, `positivity:*`, `structure:*`, `symmetry:*` and
+`comparison:*`, which read their series at other depths than a full run;
+`compute --output json` at cutoff 4 for 7 alphas x 3 gammas x both modes x
+both geometries, each normalized and `--raw`; refined cutoff 7 [1,1]x[1];
+one-parameter cutoff 9 [2,1]x[1]; the benchmark pools' colors at their
+deep cutoffs (refined 6, one-parameter 8); `expand` in text and JSON for 3
+alphas x 2 gammas x both modes x both geometries, each normalized and
+`--raw`, at bidegrees 1,0 / 1,1 / 2,1 (1,0 / 2,0 on the single-edge
+geometry, which determines only s = 0); and `compare` in both modes for 6
+color pairs.
 """
 
 import contextlib
@@ -41,6 +44,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rp3vertex import amplitude, analysis, cli, partitions, ring, specialize, vertex
 
+CHECK_SUITES = ["all", "fixture:*", "positivity:*", "structure:*", "symmetry:*",
+                "comparison:*"]
 ALPHAS = ["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,1,1]", "[3]"]
 GAMMAS = ["[]", "[1]", "[1,1]"]
 EXPAND_ALPHAS = ["[1]", "[2]", "[1,1]"]
@@ -54,6 +59,8 @@ VALUE_POINTS = ((Fraction(3, 5), Fraction(2, 7)), (Fraction(-7, 4), Fraction(5, 
 
 def commands():
     yield ["check", "--suite", "all", "--output", "json"]
+    for suite in CHECK_SUITES:
+        yield ["check", "--suite", suite]
     for alpha, gamma, refined, geometry, raw in itertools.product(
             ALPHAS, GAMMAS, (False, True), ("local-p1xp1", "resolved-conifold"),
             (False, True)):
