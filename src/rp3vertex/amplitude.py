@@ -45,7 +45,7 @@ from collections import namedtuple
 from functools import cache
 
 from .partitions import EMPTY, enumerate_up_to, partitions_of
-from .ring import RF_ONE, KahlerSeries, RationalFunction, series_divide
+from .ring import RF_ONE, KahlerSeries, RationalFunction, checked_make, series_divide
 from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
 
@@ -64,6 +64,8 @@ class AmplitudeSpec(namedtuple("AmplitudeSpec", "geometry alpha gamma refined cu
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         return super().__new__(cls, geometry, alpha, gamma, refined, cutoff)
+
+    _make = classmethod(checked_make)
 
 
 # -- leaves: the refined value, or its value at t = q -----------------------
@@ -126,7 +128,6 @@ def _color_monomial(alpha, gamma, refined):
     return _mono(e - gamma.size, -e + alpha.kappa + gamma.size, refined)
 
 
-@cache
 def _edge_brane(alpha, gamma, nu1, refined):
     """E1: the edge's sign and framing, and the color sides' first vertices."""
     return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)

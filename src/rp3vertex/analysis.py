@@ -1,4 +1,5 @@
-"""Conjecture checkers and fixture comparison.
+"""Conjecture checkers and fixture comparison, and the suite table whose
+rows call them.
 
 Every check returns a CheckReport; failing reports always carry a witness
 naming the first offending coefficient.  Finite-order conjecture checks are
@@ -58,22 +59,24 @@ def positivity_check(series, q_order, refined, check_id="positivity"):
                        detail=f"through q-order {q_order} at cutoff {series.cutoff}")
 
 
+def vanishing_check(series, cells, witness, check_id, detail=""):
+    """Every listed coefficient must be zero; the witness, formatted with
+    the bidegree, names the first that is not."""
+    for rs in cells:
+        if not series.coeffs.get(rs, RF_ZERO).is_zero():
+            return CheckReport(check_id, "fail", witness=witness.format(*rs))
+    return CheckReport(check_id, "pass", detail=detail)
+
+
 def support_check(zhat, alpha, gamma, check_id="support"):
     """Nonzero coefficients of the normalized series must sit at r >= 1 and
     either within total degree |alpha|+|gamma| or at positive fiber degree;
     the degree-(0,0) leading term is exempt."""
     bound = alpha.size + gamma.size
-    for rs in graded(zhat.determined):
-        if rs == (0, 0):
-            continue
-        rf = zhat.coeffs.get(rs)
-        if rf is None or rf.is_zero():
-            continue
-        r, s = rs
-        if r < 1 or (r + s > bound and s == 0):
-            return CheckReport(check_id, "fail",
-                               witness=f"nonzero coefficient at {rs} outside support")
-    return CheckReport(check_id, "pass", detail=f"within cutoff {zhat.cutoff}")
+    cells = [(r, s) for r, s in graded(zhat.determined)
+             if (r, s) != (0, 0) and (r < 1 or (r + s > bound and s == 0))]
+    return vanishing_check(zhat, cells, "nonzero coefficient at ({}, {}) outside support",
+                           check_id, detail=f"within cutoff {zhat.cutoff}")
 
 
 def reduction_check(refined_series, regular_series, check_id="reduction"):
@@ -96,6 +99,24 @@ def symmetry_check_tq(series, check_id="symmetry"):
         return CheckReport(check_id, "fail",
                            witness=f"coefficient {bad} changes under the exchange")
     return CheckReport(check_id, "pass", detail=f"through degree {series.cutoff}")
+
+
+def relation(a, b):
+    """How two coefficients compare: both zero, one zero, equal, opposite
+    or differ."""
+    if a.is_zero() or b.is_zero():
+        return "both zero" if a.is_zero() and b.is_zero() else "one zero"
+    if a == b:
+        return "equal"
+    return "opposite" if a == -b else "differ"
+
+
+def geometry_check(local, con, r, allowed, message, check_id):
+    """Whether the (r,0) coefficients of the square graph and of the
+    single-edge geometry stand in one of the allowed relations."""
+    ok = relation(local.coeff(r, 0), con.coeff(r, 0)) in allowed
+    return CheckReport(check_id, "pass" if ok else "fail",
+                       witness=None if ok else message)
 
 
 def fixture_compare(fixture, computed, check_id=None):
@@ -233,20 +254,71 @@ class SuiteEntry:
 class SuiteRunner:
     """Runs the fixture and conjecture checks.
 
-    `table` lists every check as (check_id, expected verdict, thunk) in
-    report order, and `_cutoffs[i]` is the total degree at which row i reads
-    its series.  `run` selects rows by id before it calls any thunk.  The
-    thunks share one memo that keeps each distinct series once, built at the
-    deepest cutoff the selected checks read; a shallower read gets its
-    exact truncation.
+    `table` lists every check in report order as a row (check_id, expected
+    verdict, cutoff, check, reads, args): `run` calls check(*series, *args,
+    check_id=check_id), one series per read (alpha, gamma, refined, and
+    optionally geometry and normalized), each read at the row's cutoff.
+    `run` selects rows by id before it reads any series.  One memo keeps
+    each distinct series once, built at the deepest cutoff the selected
+    checks read; a shallower read gets its exact truncation.  A new kind of
+    row is one check function and the `add` calls for its rows.
     """
 
     def __init__(self, fixtures_dir=None, q_order=20):
         self.fixtures = load_fixtures(fixtures_dir)
-        self.q_order = q_order
         self._memo = {}
-        self._cutoffs = []
-        self.table = self._build_table()
+        self.table = table = []
+
+        def add(check_id, cutoff, check, reads, *args, expected="pass"):
+            table.append((check_id, expected, cutoff, check, reads, args))
+
+        for fx in self.fixtures:
+            spec = fx["spec"]
+            add(f"fixture:{fx['id']}", spec["cutoff"], partial(fixture_compare, fx),
+                [(parse_partition(spec["alpha"]), parse_partition(spec["gamma"]),
+                  spec["refined"], spec["geometry"], spec["normalized"])])
+
+        for alpha, gamma in CONJECTURE_COLORS:
+            tag = f"{alpha}{gamma}"
+            colors = (parse_partition(alpha), parse_partition(gamma))
+            for refined in (False, True):
+                mode = "refined" if refined else "regular"
+                add(f"positivity:{tag}:{mode}", DEEP_CUTOFF, positivity_check,
+                    [(*colors, refined)], q_order, refined)
+                add(f"support:{tag}:{mode}", DEEP_CUTOFF, support_check,
+                    [(*colors, refined)], *colors)
+            add(f"reduction:{tag}", DEEP_CUTOFF, reduction_check,
+                [(*colors, True), (*colors, False)])
+
+        # parameter exchange on the refined series: the closed one (raw), or
+        # the open one with color [1] (normalized)
+        add("symmetry:closed", 3, symmetry_check_tq,
+            [(EMPTY, EMPTY, True, "local_p1xp1", False)])
+        add("symmetry:open_fundamental", 3, symmetry_check_tq,
+            [(Partition([1]), EMPTY, True)], expected="fail")
+
+        # the pure-base truncation and no-pure-fiber observations
+        for alpha, gamma, start in STRUCTURE_CASES:
+            colors = (parse_partition(alpha), parse_partition(gamma))
+            for refined in (False, True):
+                tag = f"{alpha}{gamma}:{'refined' if refined else 'regular'}"
+                add(f"structure:pure_base:{tag}", DEEP_CUTOFF, vanishing_check,
+                    [(*colors, refined)], [(r, 0) for r in range(start, DEEP_CUTOFF + 1)],
+                    "nonzero pure-base coefficient at ({},{})")
+                add(f"structure:no_pure_fiber:{tag}", DEEP_CUTOFF, vanishing_check,
+                    [(*colors, refined)], [(0, s) for s in range(1, DEEP_CUTOFF + 1)],
+                    "nonzero pure-fiber coefficient at ({},{})")
+
+        # cross-geometry Hopf comparison of the regular (r,0) coefficients:
+        # equal leading, opposite first base, genuinely different second one
+        box = Partition([1])
+        hopf = [(box, box, False), (box, box, False, "resolved_conifold")]
+        add("comparison:leading", 3, geometry_check, hopf, 0, {"equal", "both zero"},
+            "leading coefficients differ")
+        add("comparison:first_base", 3, geometry_check, hopf, 1,
+            {"opposite", "both zero"}, "first base coefficients are not opposite")
+        add("comparison:second_base", 3, geometry_check, hopf, 2,
+            {"one zero", "opposite", "differ"}, "second base coefficients coincide")
 
     def series(self, alpha, gamma, refined, cutoff, geometry="local_p1xp1",
                normalized=True):
@@ -266,105 +338,14 @@ class SuiteRunner:
         """Entries for the checks that the pattern selects (every check when
         it is None), in table order; only these are computed.  They are
         computed deepest cutoff first, so each series is built once."""
-        picked = [i for i, (check_id, _expected, _thunk) in enumerate(self.table)
-                  if pattern is None or selects(pattern, check_id)]
-        reports = {i: self.table[i][2]()
-                   for i in sorted(picked, key=self._cutoffs.__getitem__, reverse=True)}
+        picked = [i for i, row in enumerate(self.table)
+                  if pattern is None or selects(pattern, row[0])]
+        reports = {}
+        for i in sorted(picked, key=lambda i: self.table[i][2], reverse=True):
+            check_id, _expected, cutoff, check, reads, args = self.table[i]
+            series = [self.series(*read[:3], cutoff, *read[3:]) for read in reads]
+            reports[i] = check(*series, *args, check_id=check_id)
         return [SuiteEntry(reports[i], self.table[i][1]) for i in picked]
-
-    def _build_table(self):
-        table = []
-
-        def add(check_id, cutoff, method, *args, expected="pass"):
-            """A row whose thunk reads its series at this cutoff."""
-            self._cutoffs.append(cutoff)
-            table.append((check_id, expected, partial(method, *args, cutoff, check_id)))
-
-        for fx in self.fixtures:
-            add(f"fixture:{fx['id']}", fx["spec"]["cutoff"], self._fixture, fx)
-
-        for alpha, gamma in CONJECTURE_COLORS:
-            tag = f"{alpha}{gamma}"
-            colors = (parse_partition(alpha), parse_partition(gamma))
-            for refined in (False, True):
-                mode = "refined" if refined else "regular"
-                add(f"positivity:{tag}:{mode}", DEEP_CUTOFF, self._positivity,
-                    *colors, refined)
-                add(f"support:{tag}:{mode}", DEEP_CUTOFF, self._support, *colors,
-                    refined)
-            add(f"reduction:{tag}", DEEP_CUTOFF, self._reduction, *colors)
-
-        # parameter exchange on the refined series: the closed one (raw), or
-        # the open one with color [1] (normalized)
-        add("symmetry:closed", 3, self._symmetry, EMPTY, False)
-        add("symmetry:open_fundamental", 3, self._symmetry, Partition([1]), True,
-            expected="fail")
-
-        # the pure-base truncation and no-pure-fiber observations
-        for alpha, gamma, start in STRUCTURE_CASES:
-            colors = (parse_partition(alpha), parse_partition(gamma))
-            for refined in (False, True):
-                tag = f"{alpha}{gamma}:{'refined' if refined else 'regular'}"
-                add(f"structure:pure_base:{tag}", DEEP_CUTOFF, self._vanishing,
-                    *colors, refined, "pure-base",
-                    [(r, 0) for r in range(start, DEEP_CUTOFF + 1)])
-                add(f"structure:no_pure_fiber:{tag}", DEEP_CUTOFF, self._vanishing,
-                    *colors, refined, "pure-fiber",
-                    [(0, s) for s in range(1, DEEP_CUTOFF + 1)])
-
-        # cross-geometry Hopf comparison: equal leading, opposite first base
-        # coefficient, genuinely different second one
-        add("comparison:leading", 3, self._hopf_base, 0, False, True,
-            "leading coefficients differ")
-        add("comparison:first_base", 3, self._hopf_base, 1, True, True,
-            "first base coefficients are not opposite")
-        add("comparison:second_base", 3, self._hopf_base, 2, False, False,
-            "second base coefficients coincide")
-        return table
-
-    # -- the thunks; each takes its cutoff and check id last -----------------
-
-    def _fixture(self, fx, cutoff, check_id):
-        spec = fx["spec"]
-        computed = self.series(
-            parse_partition(spec["alpha"]), parse_partition(spec["gamma"]),
-            spec["refined"], cutoff, spec["geometry"], spec["normalized"])
-        return fixture_compare(fx, computed, check_id)
-
-    def _positivity(self, alpha, gamma, refined, cutoff, check_id):
-        return positivity_check(self.series(alpha, gamma, refined, cutoff),
-                                self.q_order, refined, check_id)
-
-    def _support(self, alpha, gamma, refined, cutoff, check_id):
-        return support_check(self.series(alpha, gamma, refined, cutoff), alpha, gamma,
-                             check_id)
-
-    def _reduction(self, alpha, gamma, cutoff, check_id):
-        return reduction_check(self.series(alpha, gamma, True, cutoff),
-                               self.series(alpha, gamma, False, cutoff), check_id)
-
-    def _symmetry(self, alpha, normalized, cutoff, check_id):
-        series = self.series(alpha, EMPTY, True, cutoff, normalized=normalized)
-        return symmetry_check_tq(series, check_id)
-
-    def _vanishing(self, alpha, gamma, refined, what, cells, cutoff, check_id):
-        zhat = self.series(alpha, gamma, refined, cutoff)
-        for r, s in cells:
-            if not zhat.coeffs.get((r, s), RF_ZERO).is_zero():
-                return CheckReport(check_id, "fail",
-                                   witness=f"nonzero {what} coefficient at ({r},{s})")
-        return CheckReport(check_id, "pass")
-
-    def _hopf_base(self, r, opposite, equal, message, cutoff, check_id):
-        """Whether the regular Hopf coefficient at (r,0) of the single-edge
-        geometry equals (or, with opposite, is minus) that of the square
-        graph, as equal demands."""
-        hopf = (Partition([1]), Partition([1]), False, cutoff)
-        local = self.series(*hopf).coeff(r, 0)
-        con = self.series(*hopf, geometry="resolved_conifold").coeff(r, 0)
-        ok = (con == (-local if opposite else local)) == equal
-        return CheckReport(check_id, "pass" if ok else "fail",
-                           witness=None if ok else message)
 
 
 def summary_table(entries):

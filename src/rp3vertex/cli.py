@@ -12,7 +12,7 @@ import os
 import sys
 
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
-from .analysis import SuiteRunner, summary_table
+from .analysis import SuiteRunner, relation, summary_table
 from .partitions import parse_partition
 from .ring import ExpansionError, expand, graded
 
@@ -153,13 +153,11 @@ def cmd_compare(args, parser):
         reduced = refined.substitute_t_eq_q()
         lines = []
         for rs in graded(regular.determined):
-            a = regular.coeffs.get(rs)
-            b = reduced.coeffs.get(rs)
-            if a is None and b is None:
-                continue
-            same = (a is None) == (b is None) and (a is None or a == b)
-            lines.append(f"({rs[0]},{rs[1]}): {'equal' if same else 'DIFFER'}  "
-                         f"{(a or b).text()}")
+            a, b = regular.coeff(*rs), reduced.coeff(*rs)
+            word = relation(a, b)
+            if word != "both zero":
+                lines.append(f"({rs[0]},{rs[1]}): {'equal' if word == 'equal' else 'DIFFER'}  "
+                             f"{(b if a.is_zero() else a).text()}")
         print("\n".join(lines))
         return 0
 
@@ -174,21 +172,10 @@ def cmd_compare(args, parser):
     con = normalized_amplitude(spec._replace(geometry="resolved_conifold"))
     lines = []
     for r in range(args.cutoff + 1):
-        a = local.coeffs.get((r, 0))
-        b = con.coeffs.get((r, 0))
-        if a is None and b is None:
-            relation = "both zero"
-        elif a is None or b is None:
-            relation = "one zero"
-        elif a == b:
-            relation = "equal"
-        elif a == -b:
-            relation = "opposite"
-        else:
-            relation = "differ"
-        lines.append(f"({r},0): {relation}")
-        lines.append(f"    square graph: {a.text() if a else '0'}")
-        lines.append(f"    single edge : {b.text() if b else '0'}")
+        a, b = local.coeff(r, 0), con.coeff(r, 0)
+        lines.append(f"({r},0): {relation(a, b)}")
+        lines.append(f"    square graph: {a.text()}")
+        lines.append(f"    single edge : {b.text()}")
     print("\n".join(lines))
     return 0
 

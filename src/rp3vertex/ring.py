@@ -33,6 +33,12 @@ from math import gcd, lcm
 from operator import mul
 
 
+def checked_make(cls, iterable):
+    """A namedtuple's `_make` through its constructor, so that `_replace`
+    checks the fields too."""
+    return cls(*iterable)
+
+
 def _coeff_str(c):
     f = Fraction(c)
     return str(f.numerator), str(f.denominator)
@@ -110,12 +116,7 @@ class Laurent:
     def __eq__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        for e, c in self.terms.items():
-            if other.terms.get(e) != c:
-                return False
-        return True
+        return self.terms == other.terms
 
     def __hash__(self):
         h = self._hash
@@ -862,6 +863,8 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order")):
         coeffs = {qe: dict(poly) for qe, poly in coeffs.items() if poly}
         return super().__new__(cls, prefactor, coeffs, order)
 
+    _make = classmethod(checked_make)
+
     def first_violation(self):
         """(qe, te, coeff) of the first non-positive-integral coefficient; the
         extracted scalar itself must be a positive integer."""
@@ -1072,6 +1075,8 @@ class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
         if missing:
             raise ValueError(f"nonzero coefficients outside determined set: {missing}")
         return super().__new__(cls, cutoff, clean, determined)
+
+    _make = classmethod(checked_make)
 
     def coeff(self, r, s):
         """The (r, s) coefficient; raises KeyError beyond the determined set."""

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import cache
 
 from .partitions import EMPTY
-from .ring import Laurent, RationalFunction, RF_ONE, RF_ZERO
+from .ring import Laurent, RationalFunction, RF_ONE, RF_ZERO, checked_make
 
 
 class Alphabet(namedtuple("Alphabet", "prefix tail_start tail_ratio")):
@@ -31,6 +31,8 @@ class Alphabet(namedtuple("Alphabet", "prefix tail_start tail_ratio")):
         if not ((rq > 0 and rt == 0) or (rq == 0 and rt > 0)):
             raise ValueError(f"tail ratio must be a positive pure power, got {tail_ratio}")
         return super().__new__(cls, tuple(prefix), tuple(tail_start), (rq, rt))
+
+    _make = classmethod(checked_make)
 
 
 _UNIT = {"q": (1, 0), "t": (0, 1)}

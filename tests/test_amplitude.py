@@ -5,8 +5,8 @@ from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cau
                                  normalized_amplitude, open_amplitude)
 from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                                   partitions_of)
-from rp3vertex.ring import RF_ONE, RF_ZERO, RationalFunction
-from rp3vertex.specialize import finite_h, principal, skew_schur
+from rp3vertex.ring import RF_ONE, RF_ZERO, KahlerSeries, QSeries, RationalFunction
+from rp3vertex.specialize import Alphabet, finite_h, principal, skew_schur
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -27,6 +27,31 @@ def test_spec_validation():
         AmplitudeSpec(geometry="local_p2")
     with pytest.raises(ValueError):
         AmplitudeSpec(cutoff=-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AmplitudeSpec()._replace(cutoff=-1, geometry="bogus"),
+    lambda: AmplitudeSpec._make(["bogus", EMPTY, EMPTY, False, 3]),
+    lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(cutoff=-5,
+                                                       coeffs={(9, 9): RF_ZERO}),
+    lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(coeffs={(5, 5): RF_ONE}),
+    lambda: KahlerSeries._make([1, {(5, 5): RF_ONE}, None]),
+    lambda: Alphabet((), (1, 0), (2, 0))._replace(tail_ratio=(-2, 3)),
+    lambda: Alphabet._make([(), (1, 0), (0, 0)]),
+], ids=["spec-replace", "spec-make", "kahler-replace-cutoff", "kahler-replace-coeffs",
+        "kahler-make", "alphabet-replace", "alphabet-make"])
+def test_named_tuples_check_in_replace_and_make(build):
+    # _replace and _make go through the constructor and its checks
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_named_tuples_clean_in_replace_and_make():
+    series = KahlerSeries(1)._replace(coeffs={(0, 0): RF_ZERO, (1, 0): 2})
+    assert series.coeffs == {(1, 0): RF_ONE * 2}
+    assert series.determined == {(0, 0), (0, 1), (1, 0)}
+    assert QSeries._make([RF_ONE, {0: {}, 2: {0: 1}}, 4]).coeffs == {2: {0: 1}}
+    assert Alphabet._make([[(1, 0)], [1, 0], [2, 0]]) == (((1, 0),), (1, 0), (2, 0))
 
 
 def test_closed_amplitude_leading():

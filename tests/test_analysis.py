@@ -155,7 +155,7 @@ def test_report_json_shape():
 
 
 def test_every_check_id_selects_itself():
-    ids = [check_id for check_id, _expected, _thunk in SuiteRunner().table]
+    ids = [row[0] for row in SuiteRunner().table]
     assert len(ids) == 96
     for check_id in ids:
         assert [c for c in ids if selects(check_id, c)] == [check_id]
@@ -318,3 +318,57 @@ def test_corrected_fixture_entries_are_load_bearing():
     # and the reduction identity the corrections restore
     assert d13.coeff(2, 0).substitute_t_eq_q() == d6.coeff(2, 0)
     assert d13.coeff(1, 1).substitute_t_eq_q() == d6.coeff(1, 1)
+
+
+def _fake_series(local, con):
+    """A SuiteRunner.series that returns the square-graph series local, or
+    con on the single-edge geometry, truncated at the cutoff read."""
+    def series(self, alpha, gamma, refined, cutoff, geometry="local_p1xp1",
+               normalized=True):
+        if geometry == "resolved_conifold":
+            return KahlerSeries(cutoff, con, {(r, 0) for r in range(cutoff + 1)})
+        return KahlerSeries(cutoff, local)
+    return series
+
+
+def test_failing_rows_print_their_witness(monkeypatch):
+    # synthetic series make every support, structure and comparison row
+    # fail; each names the first offending coefficient or relation
+    local = {(0, 0): one, (0, 1): q, (1, 0): q, (2, 0): t, (3, 0): t}
+    con = {(0, 0): 2 * one, (1, 0): q, (2, 0): t}
+    monkeypatch.setattr(SuiteRunner, "series", _fake_series(local, con))
+    runner = SuiteRunner()
+    got = {e.report.check_id: (e.report.verdict, e.report.witness)
+           for pattern in ("support:*", "structure:*", "comparison:*")
+           for e in runner.run(pattern)}
+    assert len(got) == 14 + 12 + 3
+    for check_id, (verdict, witness) in got.items():
+        assert verdict == "fail", check_id
+        if check_id.startswith("support:"):
+            assert witness == "nonzero coefficient at (0, 1) outside support"
+        elif check_id.startswith("structure:no_pure_fiber:"):
+            assert witness == "nonzero pure-fiber coefficient at (0,1)"
+        elif check_id.startswith("structure:pure_base:[1][]"):
+            assert witness == "nonzero pure-base coefficient at (2,0)"
+        elif check_id.startswith("structure:pure_base:"):
+            assert witness == "nonzero pure-base coefficient at (3,0)"
+    assert got["comparison:leading"][1] == "leading coefficients differ"
+    assert got["comparison:first_base"][1] == "first base coefficients are not opposite"
+    assert got["comparison:second_base"][1] == "second base coefficients coincide"
+
+
+@pytest.mark.parametrize("local, con, verdicts", [
+    # equal leading, opposite first base, different second base
+    ({(0, 0): one, (1, 0): q, (2, 0): t}, {(0, 0): one, (1, 0): -q, (2, 0): q},
+     ["pass", "pass", "pass"]),
+    # a zero against a nonzero coefficient, and two zeros
+    ({(1, 0): q}, {(0, 0): one}, ["fail", "fail", "fail"]),
+    ({}, {(2, 0): q}, ["pass", "pass", "pass"]),
+    # opposite leading, equal first base, opposite second base
+    ({(0, 0): one, (1, 0): q, (2, 0): t}, {(0, 0): -one, (1, 0): q, (2, 0): -t},
+     ["fail", "fail", "pass"]),
+])
+def test_comparison_verdicts_on_zero_and_sign(monkeypatch, local, con, verdicts):
+    monkeypatch.setattr(SuiteRunner, "series", _fake_series(local, con))
+    entries = SuiteRunner().run("comparison:*")
+    assert [e.report.verdict for e in entries] == verdicts

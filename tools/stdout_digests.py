@@ -19,16 +19,18 @@ JSON outputs (`check`, `expand`) hold no rational function and enter as
 their stdout bytes.  Text outputs enter only the bytes total.
 
 The list: `check --suite all --output json`; text `check` for `all` and
-the subsets `fixture:*`, `positivity:*`, `structure:*`, `symmetry:*` and
-`comparison:*`, which read their series at other depths than a full run;
+the subsets `fixture:*`, `positivity:*`, `support:*`, `reduction:*`,
+`structure:*`, `symmetry:*` and `comparison:*`, which read their series at
+other depths than a full run;
 `compute --output json` at cutoff 4 for 7 alphas x 3 gammas x both modes x
 both geometries, each normalized and `--raw`; refined cutoff 7 [1,1]x[1];
 one-parameter cutoff 9 [2,1]x[1]; the benchmark pools' colors at their
 deep cutoffs (refined 6, one-parameter 8); `expand` in text and JSON for 3
 alphas x 2 gammas x both modes x both geometries, each normalized and
 `--raw`, at bidegrees 1,0 / 1,1 / 2,1 (1,0 / 2,0 on the single-edge
-geometry, which determines only s = 0); and `compare` in both modes for 6
-color pairs.
+geometry, which determines only s = 0); and `compare` for 6 color pairs in
+both modes, in `--mode reduction` also with `--raw` and on the single-edge
+geometry, and in `--mode geometries` also `--refined`.
 """
 
 import contextlib
@@ -44,8 +46,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rp3vertex import amplitude, analysis, cli, partitions, ring, specialize, vertex
 
-CHECK_SUITES = ["all", "fixture:*", "positivity:*", "structure:*", "symmetry:*",
-                "comparison:*"]
+CHECK_SUITES = ["all", "fixture:*", "positivity:*", "support:*", "reduction:*",
+                "structure:*", "symmetry:*", "comparison:*"]
 ALPHAS = ["[]", "[1]", "[2]", "[1,1]", "[2,1]", "[1,1,1]", "[3]"]
 GAMMAS = ["[]", "[1]", "[1,1]"]
 EXPAND_ALPHAS = ["[1]", "[2]", "[1,1]"]
@@ -85,6 +87,11 @@ def commands():
     for mode, (alpha, gamma) in itertools.product(("reduction", "geometries"),
                                                   COMPARE_COLORS):
         yield ["compare", "--mode", mode, "--alpha", alpha, "--gamma", gamma]
+    for (alpha, gamma), variant in itertools.product(
+            COMPARE_COLORS, (["--mode", "reduction", "--raw"],
+                             ["--mode", "reduction", "--geometry", "resolved-conifold"],
+                             ["--mode", "geometries", "--refined"])):
+        yield ["compare", *variant, "--alpha", alpha, "--gamma", gamma]
 
 
 def cold_start():
