@@ -160,9 +160,6 @@ def fixture_compare(fixture, computed, check_id=None):
 # -- fixture loading ---------------------------------------------------------
 
 def fixtures_dir_default():
-    env = os.environ.get("RP3VERTEX_FIXTURES")
-    if env:
-        return env
     return str(resources.files("rp3vertex") / "fixtures")
 
 

@@ -2,29 +2,31 @@
 functions of them, truncated q-expansions, and bidegree series in the two
 gluing parameters.
 
-Exponents are stored doubled so every exponent is an integer.  Rational
-functions never run a polynomial gcd: the denominator is kept as a multiset
-of normalized factors (each with constant term 1 after content stripping),
-sums take factor-wise least common multiples, and two values are equal
-when their difference is zero, a sum that lifts both numerators to the LCM
-of the two denominators; the expanded denominator `den` is built by the
-same lifting.  A sum applies each LCM factor its terms miss once per group
-of terms that need it equally often, to their partial sum, not to every
-term's numerator on its own.  Large sums with integer coefficients do
-that on packed integers (Kronecker substitution): every numerator becomes
-one Python integer with a fixed-width slot per lattice point of a box that
-holds every partial sum, a factor 1 - m becomes one shift and subtract,
-and the result is decoded once; the slot width is proved wide enough for
-every coefficient, so the terms are the same as on dicts (see
-`_lift_packed`).  Sums do not cancel; `cancelled` divides the
-numerator exactly by each factor 1 - m that divides it, and is called only
-on the skew Schur leaves and in `series_divide`.
+Exponents are stored doubled so every exponent is an integer.  Every
+denominator the engine builds is a product of steps 1 - m, m = q^a t^b
+(hook products, geometric tails, Macdonald factors), and a rational
+function is stored in that one format: num / prod (1 - m)^k, the
+denominator a sorted tuple of (m, k) pairs.  `RationalFunction._over`,
+which normalizes every polynomial a value is divided by, splits it into
+its steps and refuses one that is no such product.  Rational functions
+never run a polynomial gcd: sums take step-wise least common multiples,
+and two values are equal when their difference is zero, a sum that lifts
+both numerators to the LCM of the two denominators; the expanded
+denominator `den` is built by the same lifting.  A sum applies each LCM
+step its terms miss once per group of terms that need it equally often,
+to their partial sum, not to every term's numerator on its own.  Large
+sums with integer coefficients do that on packed integers (Kronecker
+substitution): every numerator becomes one Python integer with a
+fixed-width slot per lattice point of a box that holds every partial sum,
+a step 1 - m becomes one shift and subtract, and the result is decoded
+once; the slot width is proved wide enough for every coefficient, so the
+terms are the same as on dicts (see `_lift_packed`).  Sums do not cancel;
+`cancelled` divides the numerator exactly by each step 1 - m that divides
+it, and is called only on the skew Schur leaves and in `series_divide`.
 
-Every division by a factor 1 - m, exact or as a power series cut at an
-order, goes through one kernel, `_divide_one_minus`; so `expand`, which
-expands in q only, takes the denominators that are products of factors
-1 - q^a t^b with a >= 0.  Every polynomial a value is divided by is
-normalized by `RationalFunction._over`.
+Every division by a step 1 - m, exact or as a power series cut at an
+order, goes through one kernel, `_divide_one_minus`; `expand`, which
+expands in q only, takes the denominators whose steps have a >= 0.
 """
 
 from collections import namedtuple
@@ -72,19 +74,17 @@ def _unique(pairs, what):
 class Laurent:
     """Laurent polynomial; terms maps doubled (q-exp, t-exp) to a nonzero rational."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {e: c for e, c in terms.items() if c} if terms else {}
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _of(terms):
         """Wrap a dict the caller guarantees holds no zero coefficient."""
         p = object.__new__(Laurent)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -119,11 +119,7 @@ class Laurent:
         return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -170,20 +166,6 @@ class Laurent:
         if len(a) == 1:
             (eq, et), c = next(iter(a.items()))
             return Laurent({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
-        m = _binomial_step(a) if len(a) == 2 else None
-        if m is not None:
-            # 1 - m, the shape of every denominator factor sums lift by:
-            # b minus b shifted by m, with no coefficient products
-            mq, mt = m
-            out = dict(b)
-            for (bq, bt), cb in b.items():
-                e = (bq + mq, bt + mt)
-                v = out.get(e, 0) - cb
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            return Laurent._of(out)
         out = {}
         for (aq, at), ca in a.items():
             for (bq, bt), cb in b.items():
@@ -320,16 +302,23 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
-def _factor_sort_key(f):
-    return tuple(sorted(f.terms.items()))
+def _one_minus(m):
+    """The step 1 - m as a Laurent polynomial."""
+    return Laurent._of({(0, 0): 1, m: -1})
 
 
-def _binomial_step(terms):
-    """m when the terms are exactly those of 1 - m, else None."""
-    if len(terms) != 2 or terms.get((0, 0)) != 1:
-        return None
-    m, c = next(kv for kv in terms.items() if kv[0] != (0, 0))
-    return m if c == -1 else None
+def _times_one_minus(p, m):
+    """p * (1 - m): p minus p shifted by m, with no coefficient products."""
+    mq, mt = m
+    out = dict(p.terms)
+    for (pq, pt), c in p.terms.items():
+        e = (pq + mq, pt + mt)
+        v = out.get(e, 0) - c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return Laurent._of(out)
 
 
 def _divide_one_minus(terms, m, last=None):
@@ -429,57 +418,49 @@ def _laurent_total(nums):
     return Laurent(out)
 
 
-def _lift_dict(items, factors):
+def _lift_dict(items, steps):
     """The lifted sum (see `_lift_sum`) on Laurent dicts, one dict
-    operation per term for each factor step."""
-    return _horner(items, [lambda acc, f=f: acc * f for f in factors], 0,
-                   _laurent_total)
+    operation per term for each step."""
+    return _horner(items, [lambda acc, m=m: _times_one_minus(acc, m) for m in steps],
+                   0, _laurent_total)
 
 
-def _lift_packed(items, factors):
+def _lift_packed(items, steps):
     """The lifted sum (see `_lift_sum`) on packed integers, or None when the
-    packing declines: a coefficient is not an int, or a factor term has a
-    negative slot shift (the engine builds no such factor: each is a
-    product of 1 - q^a t^b with a >= 0, and b > 0 when a = 0).
+    packing declines: a coefficient is not an int, or a step has a negative
+    slot shift (the engine builds no such step: each is q^a t^b with a >= 0,
+    and b > 0 when a = 0).
 
     Kronecker substitution.  Every exponent the sum reaches, in every
     Horner partial sum too, is an exponent of an item num_i plus at most
-    need_ij exponents of each f_j.  So it lies on the lattice lo + g_q Z x
-    g_t Z (g the gcds of the item-exponent differences and the factor
+    need_ij times each step m_j.  So it lies on the lattice lo + g_q Z x
+    g_t Z (g the gcds of the item-exponent differences and the step
     exponents) and in the box that spans each hull(num_i) + sum_j need_ij
-    hull(f_j and 0).  idx(e) = ((e_q - lo_q)/g_q) n_t + (e_t - lo_t)/g_t
-    numbers the box's lattice points q-major, n_t per q row; it is affine
-    and one-to-one on the box, so a polynomial on the box is the integer
-    sum c_e x^idx(e) at x = 2^W, and a factor term d q^a t^b is d x^s with
-    s = (a/g_q) n_t + b/g_t, which must be >= 0 (it is when a > 0: n_t
-    exceeds the t width of each f_j).  Evaluation at x = 2^W is a ring
-    homomorphism, so the integers are exact whatever their slots hold, and
-    only the final integer is decoded: right when each of its coefficients
-    has |c| < 2^(W-1).  The result is sum_i num_i prod_j f_j^need_ij, and
-    its 1-norm, which bounds each of its coefficients (and those of every
-    partial sum), is at most S = sum_i |num_i|_1 prod_j |f_j|_1^need_j,
-    need_j the largest need_ij, because |a b|_1 <= |a|_1 |b|_1 and
-    |f_j|_1 >= 1 (its least term is 1).  So W is the bit length of S plus a
-    sign bit, rounded up to whole bytes.  A factor 1 - m lifts by
-    acc - (acc << W s(m)); any other factor multiplies by its packed
-    integer."""
-    need = [max(nd[j] for _num, nd in items) for j in range(len(factors))]
+    [0, m_j].  idx(e) = ((e_q - lo_q)/g_q) n_t + (e_t - lo_t)/g_t numbers
+    the box's lattice points q-major, n_t per q row; it is affine and
+    one-to-one on the box, so a polynomial on the box is the integer sum
+    c_e x^idx(e) at x = 2^W, and m = q^a t^b is x^s with s = (a/g_q) n_t +
+    b/g_t, which must be >= 0 (it is when a > 0: n_t exceeds the t width of
+    each m_j).  Evaluation at x = 2^W is a ring homomorphism, so the
+    integers are exact whatever their slots hold, and only the final
+    integer is decoded: right when each of its coefficients has |c| <
+    2^(W-1).  The result is sum_i num_i prod_j (1 - m_j)^need_ij, and its
+    1-norm, which bounds each of its coefficients (and those of every
+    partial sum), is at most S = sum_i |num_i|_1 2^(sum_j need_j), need_j
+    the largest need_ij, because |a b|_1 <= |a|_1 |b|_1 and |1 - m|_1 = 2.
+    So W is the bit length of S plus a sign bit, rounded up to whole bytes,
+    and a step 1 - m lifts by acc - (acc << W s(m))."""
+    need = [max(nd[j] for _num, nd in items) for j in range(len(steps))]
     used = [j for j, n in enumerate(need) if n]
-    bound = 1
-    for j in used:
-        norm = sum(map(abs, factors[j].terms.values()))
-        if type(norm) is not int:
-            return None
-        bound *= norm ** need[j]
-    # how far the steps of the used factors reach: up in q, down and up in
-    # t; no factor term with a negative q exponent gets past the shift check
-    # below, so q reaches only upward
-    reach = [[max(0, *(e[0] for e in factors[j].terms)) for j in used],
-             [min(0, *(e[1] for e in factors[j].terms)) for j in used],
-             [max(0, *(e[1] for e in factors[j].terms)) for j in used]]
+    # how far the used steps reach: up in q, down and up in t; no step with
+    # a negative q exponent gets past the shift check below, so q reaches
+    # only upward
+    reach = [[max(0, steps[j][0]) for j in used],
+             [min(0, steps[j][1]) for j in used],
+             [max(0, steps[j][1]) for j in used]]
     base_q, base_t = next(iter(items[0][0].terms))
-    g_q = gcd(*(e[0] for j in used for e in factors[j].terms))
-    g_t = gcd(*(e[1] for j in used for e in factors[j].terms))
+    g_q = gcd(*(steps[j][0] for j in used))
+    g_t = gcd(*(steps[j][1] for j in used))
     corners = []
     norm = 0
     for num, nd in items:
@@ -488,33 +469,26 @@ def _lift_packed(items, factors):
         q, t = zip(*num.terms)
         g_q = gcd(g_q, *(x - base_q for x in q))
         g_t = gcd(g_t, *(y - base_t for y in t))
-        steps = [nd[j] for j in used]
-        corners.append((min(q), max(q) + sum(map(mul, steps, reach[0])),
-                        min(t) + sum(map(mul, steps, reach[1])),
-                        max(t) + sum(map(mul, steps, reach[2]))))
+        k = [nd[j] for j in used]
+        corners.append((min(q), max(q) + sum(map(mul, k, reach[0])),
+                        min(t) + sum(map(mul, k, reach[1])),
+                        max(t) + sum(map(mul, k, reach[2]))))
     if type(norm) is not int:
         return None
     g_q, g_t = g_q or 1, g_t or 1
     lows_q, highs_q, lows_t, highs_t = zip(*corners)
     lo_q, hi_q, lo_t, hi_t = min(lows_q), max(highs_q), min(lows_t), max(highs_t)
-    size = ((bound * norm).bit_length() + 8) // 8
+    size = ((norm << sum(need)).bit_length() + 8) // 8
     width = 8 * size
     n_t = (hi_t - lo_t) // g_t + 1
     box = (lo_q, lo_t, g_q, g_t, n_t, (hi_q - lo_q) // g_q + 1)
-    lifts = []
-    for f, n in zip(factors, need):
-        if not n:
-            lifts.append(None)
-            continue
-        shifts = {e: (e[0] // g_q * n_t + e[1] // g_t) * width for e in f.terms}
-        if min(shifts.values()) < 0:
+    lifts = [None] * len(steps)
+    for j in used:
+        mq, mt = steps[j]
+        shift = (mq // g_q * n_t + mt // g_t) * width
+        if shift < 0:
             return None
-        m = _binomial_step(f.terms)
-        if m is not None:
-            lifts.append(lambda acc, s=shifts[m]: acc - (acc << s))
-        else:
-            packed = sum(c << shifts[e] for e, c in f.terms.items())
-            lifts.append(lambda acc, p=packed: acc * p)
+        lifts[j] = lambda acc, s=shift: acc - (acc << s)
     total = _horner([(_pack(num.terms, box, size), nd) for num, nd in items],
                     lifts, 0, sum)
     return _unpack(total, box, size)
@@ -575,25 +549,29 @@ def _unpack(total, box, size):
 _PACK_WORK = 2048
 
 
-def _lift_sum(items, factors):
-    """Sum of num * prod(factors[j] ** need[j]) over (num, need) items,
+def _lift_sum(items, steps):
+    """Sum of num * prod((1 - steps[j]) ** need[j]) over (num, need) items,
     each num nonzero.
 
-    The work estimate is the items' numerator terms times the factor steps
-    (the sum over factors of the largest need).  From _PACK_WORK on the sum
-    is lifted on packed integers (`_lift_packed`) unless the packing
-    declines, else on Laurent dicts (`_lift_dict`); both give the same
-    terms."""
-    steps = sum(max(nd[j] for _num, nd in items) for j in range(len(factors)))
-    if steps * sum(len(num.terms) for num, _need in items) >= _PACK_WORK:
-        total = _lift_packed(items, factors)
+    The work estimate is the items' numerator terms times the step
+    applications (the sum over steps of the largest need).  From _PACK_WORK
+    on the sum is lifted on packed integers (`_lift_packed`) unless the
+    packing declines, else on Laurent dicts (`_lift_dict`); both give the
+    same terms."""
+    work = sum(max(nd[j] for _num, nd in items) for j in range(len(steps)))
+    if work * sum(len(num.terms) for num, _need in items) >= _PACK_WORK:
+        total = _lift_packed(items, steps)
         if total is not None:
             return total
-    return _lift_dict(items, factors)
+    return _lift_dict(items, steps)
 
 
 class RationalFunction:
-    """num over a product of normalized factors; exact, never gcd-reduced."""
+    """num / prod (1 - m)^k, exact and never gcd-reduced.
+
+    factors holds the (m, k) pairs, sorted by m: each m is a doubled
+    exponent pair (a, b) of q^(a/2) t^(b/2) above 1 in graded-lex order,
+    and each k is positive."""
 
     __slots__ = ("num", "factors")
 
@@ -616,34 +594,36 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
-    def _make(cls, num, factor_bag):
+    def _make(cls, num, bag):
+        """num over the steps of bag, which maps each m to its k."""
         rf = cls.__new__(cls)
         if num.is_zero():
             rf._init(L_ZERO, ())
             return rf
-        items = tuple(sorted(
-            ((f, m) for f, m in factor_bag.items() if m),
-            key=lambda fm: _factor_sort_key(fm[0]),
-        ))
-        rf._init(num, items)
+        rf._init(num, tuple(sorted((m, k) for m, k in bag.items() if k)))
         return rf
 
     @staticmethod
     def _over(num, divisors, bag):
-        """num / (the factors in bag * each polynomial ** multiplicity of
-        divisors): each divisor's content and monomial fold into num, and its
-        unit factor, unless 1, joins bag (updated in place)."""
+        """num / (the steps in bag * each polynomial ** multiplicity of
+        divisors): each divisor's content and monomial fold into num, and the
+        steps of its unit factor join bag (updated in place).  A ValueError
+        when a unit factor is no product of steps 1 - m."""
         scale = Fraction(1)
         shift_q = shift_t = 0
         for poly, mult in divisors:
             if poly.is_zero():
                 raise ZeroDivisionError("zero denominator")
             c, (eq, et), unit = poly.normalized()
+            steps = _one_minus_steps(unit)
+            if steps is None:
+                raise ValueError(f"denominator factor {unit.text()} is not a product "
+                                 "of factors 1 - q^a t^b")
             scale *= Fraction(c) ** mult
             shift_q += eq * mult
             shift_t += et * mult
-            if not unit.is_one():
-                bag[unit] = bag.get(unit, 0) + mult
+            for m in steps:
+                bag[m] = bag.get(m, 0) + mult
         num = num.shift(-shift_q, -shift_t)
         if scale != 1:
             num = num.scale(1 / scale)
@@ -668,8 +648,8 @@ class RationalFunction:
     @property
     def den(self):
         """The expanded denominator polynomial."""
-        return _lift_sum([(L_ONE, [m for _f, m in self.factors])],
-                         [f for f, _m in self.factors])
+        return _lift_sum([(L_ONE, [k for _m, k in self.factors])],
+                         [m for m, _k in self.factors])
 
     def is_zero(self):
         return self.num.is_zero()
@@ -701,8 +681,8 @@ class RationalFunction:
         if self.is_zero() or other.is_zero():
             return RF_ZERO
         bag = dict(self.factors)
-        for f, m in other.factors:
-            bag[f] = bag.get(f, 0) + m
+        for m, k in other.factors:
+            bag[m] = bag.get(m, 0) + k
         return RationalFunction._make(self.num * other.num, bag)
 
     __rmul__ = __mul__
@@ -724,17 +704,14 @@ class RationalFunction:
             return RF_ONE
         if n < 0:
             return RF_ONE / self ** (-n)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        return RationalFunction._make(self.num ** n, {m: k * n for m, k in self.factors})
 
     @staticmethod
     def sum_of(values):
-        """n-ary sum over a shared factor-wise LCM denominator.
+        """n-ary sum over a shared step-wise LCM denominator.
 
-        Each value is missing some LCM factors; those are applied factor by
-        factor (most-needed first), each once per group of values that need
+        Each value is missing some LCM steps; those are applied step by
+        step (most-needed first), each once per group of values that need
         it equally often, rather than once per value."""
         values = [rf for rf in map(RationalFunction.of, values) if not rf.is_zero()]
         if not values:
@@ -743,35 +720,33 @@ class RationalFunction:
             return values[0]
         lcm = {}
         for v in values:
-            for f, m in v.factors:
-                if lcm.get(f, 0) < m:
-                    lcm[f] = m
-        facs = list(lcm)
+            for m, k in v.factors:
+                if lcm.get(m, 0) < k:
+                    lcm[m] = k
+        steps = list(lcm)
         rows = []
         for v in values:
             have = dict(v.factors)
-            rows.append((v.num, [lcm[f] - have.get(f, 0) for f in facs]))
-        users = [sum(1 for _num, need in rows if need[j]) for j in range(len(facs))]
-        order = sorted(range(len(facs)), key=lambda j: -users[j])
+            rows.append((v.num, [lcm[m] - have.get(m, 0) for m in steps]))
+        users = [sum(1 for _num, need in rows if need[j]) for j in range(len(steps))]
+        order = sorted(range(len(steps)), key=lambda j: -users[j])
         items = [(num, [need[j] for j in order]) for num, need in rows]
-        total = _lift_sum(items, [facs[j] for j in order])
+        total = _lift_sum(items, [steps[j] for j in order])
         return RationalFunction._make(total, lcm)
 
     def cancelled(self):
-        """The same value with each factor 1 - m divided out of the
-        numerator as often as it divides exactly, up to its multiplicity;
-        factors of any other shape are kept."""
+        """The same value with each step 1 - m divided out of the numerator
+        as often as it divides exactly, up to its multiplicity."""
         num = self.num
         bag = {}
-        for f, mult in self.factors:
-            m = _binomial_step(f.terms)
-            while m is not None and mult:
+        for m, k in self.factors:
+            while k:
                 quo = _divide_one_minus(num.terms, m)
                 if quo is None:
                     break
                 num = quo
-                mult -= 1
-            bag[f] = mult
+                k -= 1
+            bag[m] = k
         if num is self.num:
             return self
         return RationalFunction._make(num, bag)
@@ -795,7 +770,7 @@ class RationalFunction:
 
     def _map(self, fn):
         return RationalFunction._over(
-            fn(self.num), [(fn(f), m) for f, m in self.factors], {})
+            fn(self.num), [(fn(_one_minus(m)), k) for m, k in self.factors], {})
 
     def substitute_t_eq_q(self):
         return self._map(Laurent.substitute_t_eq_q)
@@ -805,8 +780,8 @@ class RationalFunction:
 
     def evaluate(self, qh, th):
         d = Fraction(1)
-        for f, m in self.factors:
-            d *= f.evaluate(qh, th) ** m
+        for (mq, mt), k in self.factors:
+            d *= (1 - Fraction(qh) ** mq * Fraction(th) ** mt) ** k
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
         return self.num.evaluate(qh, th) / d
@@ -820,10 +795,10 @@ class RationalFunction:
         if not self.factors:
             return n
         dens = []
-        for f, m in self.factors:
-            piece = f"({f.text()})"
-            if m != 1:
-                piece += f"^{m}"
+        for m, k in self.factors:
+            piece = f"({_one_minus(m).text()})"
+            if k != 1:
+                piece += f"^{k}"
             dens.append(piece)
         ns = f"({n})" if len(self.num.terms) > 1 else n
         return f"{ns}/({'*'.join(dens)})" if len(dens) > 1 else f"{ns}/{dens[0]}"
@@ -959,41 +934,32 @@ def expand(rf, q_order):
     """Series expansion of a rational function in q to the given order
     (plain, undoubled power of q).
 
-    Every denominator factor must be a product of factors 1 - q^a t^b with
-    a >= 0.  Steps with a > 0 are inverted as power series cut at the
-    order; steps with a = 0, pure in t, must then divide the series
-    exactly.  Raises ExpansionError when a factor is no such product, has a
-    step with a < 0, or a pure step does not divide.
+    Every denominator step 1 - q^a t^b must have a >= 0.  Steps with a > 0
+    are inverted as power series cut at the order; steps with a = 0, pure
+    in t, must then divide the series exactly.  Raises ExpansionError when
+    a step has a < 0 or a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
     if rf.is_zero():
         return QSeries(L_ONE, {}, 2 * q_order)
 
     geom = []   # steps m with a positive q-exponent
-    pure = []   # (factor, step m) with m in t alone
-    for f, mult in rf.factors:
-        steps = _one_minus_steps(f)
-        if steps is None:
+    pure = []   # steps m in t alone
+    for m, k in rf.factors:
+        if m[0] < 0:
             raise ExpansionError(
-                f"denominator factor {f.text()} is not a product of factors 1 - q^a t^b")
-        for m in steps * mult:
-            if m[0] < 0:
-                raise ExpansionError(
-                    f"denominator factor {f.text()} has a step 1 - q^a t^b with a < 0")
-            if m[0]:
-                geom.append(m)
-            else:
-                pure.append((f, m))
+                f"denominator factor {_one_minus(m).text()} has a step 1 - q^a t^b with a < 0")
+        (geom if m[0] else pure).extend([m] * k)
 
     last = rf.num.min_q_exp() + 2 * q_order
     terms = {e: c for e, c in rf.num.terms.items() if e[0] <= last}
     for m in geom:
         terms = _divide_one_minus(terms, m, last).terms
-    for f, m in pure:
+    for m in pure:
         quo = _divide_one_minus(terms, m)
         if quo is None:
             raise ExpansionError(
-                f"coefficient is not polynomial after dividing by {f.text()}")
+                f"coefficient is not polynomial after dividing by {_one_minus(m).text()}")
         terms = quo.terms
 
     slices = {}

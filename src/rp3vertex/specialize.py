@@ -81,10 +81,7 @@ def complete_homogeneous(k, alphabet):
             continue
         m = k - j
         num = hs[j].shift(sq * m, st * m)
-        bag = {}
-        for i in range(1, m + 1):
-            f = Laurent({(0, 0): 1, (rq * i, rt * i): -1})
-            bag[f] = bag.get(f, 0) + 1
+        bag = {(rq * i, rt * i): 1 for i in range(1, m + 1)}
         terms.append(RationalFunction._make(num, bag))
     return RationalFunction.sum_of(terms)
 
@@ -154,8 +151,7 @@ def macdonald_tilde_z(nu, first="t"):
             e = (2 * a, 2 * (l + 1))      # t^(l+1) q^a
         else:
             e = (2 * (l + 1), 2 * a)      # q^(l+1) t^a
-        f = Laurent({(0, 0): 1, e: -1})
-        bag[f] = bag.get(f, 0) + 1
+        bag[e] = bag.get(e, 0) + 1
     return RationalFunction._make(Laurent.const(1), bag)
 
 

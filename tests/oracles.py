@@ -92,28 +92,33 @@ def residual_equal(a, b, through=None):
 
 
 def reference_rf_equal(a, b):
-    """Cross-multiplied equality of two rational functions: the factors the
-    two denominators share are cancelled, and each numerator is multiplied
-    by the factor powers only the other denominator has."""
+    """Cross-multiplied equality of two rational functions: the steps 1 - m
+    the two denominators share are cancelled, and each numerator is
+    multiplied by the step powers only the other denominator has."""
     a, b = RationalFunction.of(a), RationalFunction.of(b)
     if a.num.is_zero():
         return b.num.is_zero()
     if b.num.is_zero():
         return False
     fa, fb = dict(a.factors), dict(b.factors)
-    for f in set(fa) & set(fb):
-        m = min(fa[f], fb[f])
-        fa[f] -= m
-        fb[f] -= m
+    for m in set(fa) & set(fb):
+        k = min(fa[m], fb[m])
+        fa[m] -= k
+        fb[m] -= k
     left = a.num
-    for f, m in fb.items():
-        if m:
-            left = left * f ** m
+    for m, k in fb.items():
+        if k:
+            left = left * one_minus(m) ** k
     right = b.num
-    for f, m in fa.items():
-        if m:
-            right = right * f ** m
+    for m, k in fa.items():
+        if k:
+            right = right * one_minus(m) ** k
     return left == right
+
+
+def one_minus(m):
+    """The step 1 - m as a Laurent polynomial."""
+    return Laurent({(0, 0): 1, m: -1})
 
 
 def series_multiply(a, b):
@@ -179,8 +184,8 @@ def reference_expand(rf, q_order):
     (plain, undoubled power of q).
 
     Denominator factors that are pure in t must divide the series
-    coefficientwise; factors mixing in q are inverted geometrically.  Raises
-    ExpansionError when a factor has no unit constant term or a pure factor
+    coefficientwise; factors positive in q are inverted geometrically.
+    Raises ExpansionError when a factor is negative in q or a pure factor
     does not divide exactly.
     """
     rf = RationalFunction.of(rf)
@@ -189,10 +194,8 @@ def reference_expand(rf, q_order):
 
     geom = []   # factors with every non-constant term strictly positive in q
     pure = []   # factors in t alone
-    for f, m in rf.factors:
-        if f.terms.get((0, 0)) != 1:
-            raise ExpansionError(
-                f"denominator factor {f.text()} has no unit constant term")
+    for step, m in rf.factors:
+        f = one_minus(step)
         rest = {e: c for e, c in f.terms.items() if e != (0, 0)}
         if all(eq > 0 for (eq, _et) in rest):
             geom.append((rest, m))
@@ -200,7 +203,7 @@ def reference_expand(rf, q_order):
             pure.append((f, m))
         else:
             raise ExpansionError(
-                f"denominator factor {f.text()} mixes q-free and q-positive terms")
+                f"denominator factor {f.text()} is negative in q")
 
     base_q = rf.num.min_q_exp()
     bound = base_q + 2 * q_order

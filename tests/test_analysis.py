@@ -140,11 +140,11 @@ def test_fixture_corpus_matches_generator():
             assert fh.read() == text, name
 
 
-def test_fixtures_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("RP3VERTEX_FIXTURES", str(tmp_path))
-    assert fixtures_dir_default() == str(tmp_path)
+def test_fixtures_dir_default_is_the_packaged_directory(tmp_path):
+    # the packaged corpus is the one default; another directory is passed in
+    assert sum(n.endswith(".json") for n in os.listdir(fixtures_dir_default())) == 44
     with pytest.raises(FileNotFoundError):
-        load_fixtures()
+        load_fixtures(str(tmp_path))
 
 
 def test_report_json_shape():

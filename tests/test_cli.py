@@ -71,7 +71,7 @@ def _set(doc, path, value):
     doc[path[-1]] = value
 
 
-def test_usage_errors(capsys, monkeypatch, tmp_path):
+def test_usage_errors(capsys, tmp_path):
     for argv in (
         ["compute", "--alpha", "1,2"],
         ["compute", "--alpha", "[2,3]"],
@@ -140,6 +140,15 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
             fx = json.load(fh)
         _set(fx["expected"], path, value)
         broken.append((json.dumps(fx), problem))
+    # every denominator is a product of steps 1 - q^a t^b: the (0, 0)
+    # coefficient 1/1 with num and den both times 1 + 2q is refused
+    with open(os.path.join(fixtures_dir_default(), "appB.json")) as fh:
+        fx = json.load(fh)
+    one_plus_2q = [{"ex": 0, "ey": 0, "num": "1", "den": "1"},
+                   {"ex": 2, "ey": 0, "num": "2", "den": "1"}]
+    _set(fx["expected"], ("terms", 0, "coeff"), {"num": one_plus_2q, "den": one_plus_2q})
+    broken.append((json.dumps(fx), "denominator factor 1 + 2*q is not a product "
+                                   "of factors 1 - q^a t^b"))
     for path, value, problem in (
             (("coeffs", 1, "qe"), 2.0, "'qe' is 2.0, not an integer"),
             (("coeffs", 0, "poly_t", 0, "te"), False, "'te' is False, not an integer"),
@@ -176,9 +185,8 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
     assert err.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert "--max-cutoff must be nonnegative" in last, last
-    monkeypatch.setenv("RP3VERTEX_FIXTURES", "/nonexistent")
     with pytest.raises(SystemExit) as err:
-        main(["check"])
+        main(["check", "--fixtures-dir", "/nonexistent"])
     assert err.value.code == 2
     assert "cannot read the fixtures" in capsys.readouterr().err
 
