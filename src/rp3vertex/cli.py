@@ -7,12 +7,12 @@ verdict.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
 
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
-from .analysis import SuiteRunner, relation, summary_table
 from .partitions import parse_partition
 from .ring import ExpansionError, expand, graded
 
@@ -123,6 +123,8 @@ def cmd_expand(args, parser):
 
 
 def cmd_check(args, parser):
+    from .analysis import SuiteRunner, summary_table
+
     _check_q_order(args, parser)
     try:
         runner = SuiteRunner(fixtures_dir=args.fixtures_dir, q_order=args.q_order)
@@ -142,6 +144,8 @@ def cmd_check(args, parser):
 
 
 def cmd_compare(args, parser):
+    from .analysis import relation
+
     _check_cutoff(args, parser)
     spec = _spec_from_args(args)
     if args.mode == "reduction":
@@ -232,22 +236,46 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the exit status, or SystemExit on a usage error.
+
+    The cyclic garbage collector is suspended while the command runs and
+    restored as the caller left it on every way out: the exact core builds
+    no reference cycles, so each collection pass would only walk the
+    growing heap of cached values and free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        code = args.func(args, parser)
-        sys.stdout.flush()
-        return code
-    except ValueError as err:
-        parser.error(str(err))
-    except BrokenPipeError:
-        # the reader closed early; stdout goes to devnull so the
-        # interpreter's final flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            code = args.func(args, parser)
+            sys.stdout.flush()
+            return code
+        except ValueError as err:
+            parser.error(str(err))
+        except BrokenPipeError:
+            # the reader closed early; stdout goes to devnull so the
+            # interpreter's final flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run():
+    """The process entry point (`rp3vertex`, `python -m rp3vertex.cli`):
+    `main`, then `gc.freeze()`, which moves every object to the permanent
+    generation, so the interpreter's collections at exit skip the heap the
+    command built.  Only a process about to exit may freeze: in-process
+    callers use `main`."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -86,16 +86,20 @@ def partitions_of(n):
     if n == 0:
         return (EMPTY,)
     result = []
-
-    def build(remaining, maxpart, prefix):
-        if remaining == 0:
-            result.append(Partition(prefix))
-            return
-        for p in range(min(remaining, maxpart), 0, -1):
-            build(remaining - p, p, prefix + (p,))
-
-    build(n, n, ())
+    _extend(result, n, n, ())
     return tuple(result)
+
+
+def _extend(result, remaining, maxpart, prefix):
+    """Append to result every partition that starts with prefix and goes on
+    with `remaining` boxes in parts of at most maxpart, largest first part
+    first.  A module function, not a closure that calls itself, which would
+    be a reference cycle left for the cyclic garbage collector."""
+    if remaining == 0:
+        result.append(Partition(prefix))
+        return
+    for p in range(min(remaining, maxpart), 0, -1):
+        _extend(result, remaining - p, p, prefix + (p,))
 
 
 def enumerate_up_to(n):

@@ -20,7 +20,9 @@ substitution): every numerator becomes one Python integer with a
 fixed-width slot per lattice point of a box that holds every partial sum,
 a step 1 - m becomes one shift and subtract, and the result is decoded
 once; the slot width is proved wide enough for every coefficient, so the
-terms are the same as on dicts (see `_lift_packed`).  Sums do not cancel;
+terms are the same as on dicts (see `_lift_packed`).  Large products with
+integer coefficients are one product of two packed integers (see
+`_mul_packed`).  Sums do not cancel;
 `cancelled` divides the numerator exactly by each step 1 - m that divides
 it, and is called only on the skew Schur leaves and in `series_divide`.
 
@@ -29,6 +31,8 @@ order, goes through one kernel, `_divide_one_minus`; `expand`, which
 expands in q only, takes the denominators whose steps have a >= 0.
 """
 
+import sys
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -165,7 +169,11 @@ class Laurent:
             a, b = b, a
         if len(a) == 1:
             (eq, et), c = next(iter(a.items()))
-            return Laurent({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
+            return Laurent._of({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
+        if len(a) * len(b) >= _MUL_PACK_WORK:
+            out = _mul_packed(a, b)
+            if out is not None:
+                return out
         out = {}
         for (aq, at), ca in a.items():
             for (bq, bt), cb in b.items():
@@ -175,7 +183,7 @@ class Laurent:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return Laurent(out)
+        return Laurent._of(out)
 
     __rmul__ = __mul__
 
@@ -496,57 +504,141 @@ def _lift_packed(items, steps):
 
 def _pack(terms, box, size):
     """The integer sum c 2^(8 size idx(e)) over the terms c q^e, idx the
-    slot number of e in box (see `_lift_packed`)."""
+    slot number of e in box (see `_lift_packed`); each |c| < 2^(8 size - 1).
+
+    Each slot first holds c + 2^(8 size - 1), empty ones the bias
+    2^(8 size - 1) alone, so that every slot is non-negative, and one
+    subtraction of the bias total leaves the packed value.  Slots of up to
+    8 bytes are filled as one array of machine words whose bytes strided
+    copies narrow to the slot width; wider ones are filled byte by byte."""
     lo_q, lo_t, g_q, g_t, n_t, _n_q = box
     # lexicographic order of exponents is slot order
     eq, et = min(terms)
     low = (eq - lo_q) // g_q * n_t + (et - lo_t) // g_t
     eq, et = max(terms)
-    zeros = bytes(((eq - lo_q) // g_q * n_t + (et - lo_t) // g_t - low + 1) * size)
+    n_slots = (eq - lo_q) // g_q * n_t + (et - lo_t) // g_t - low + 1
     # e_q // g_q - lo_q // g_q == (e_q - lo_q) // g_q on the lattice
     base = -(lo_q // g_q * n_t + lo_t // g_t + low)
-    pos, neg = bytearray(zeros), bytearray(zeros)
-    for (eq, et), c in terms.items():
-        k = (eq // g_q * n_t + et // g_t + base) * size
-        if c > 0:
-            pos[k:k + size] = c.to_bytes(size, "little")
-        else:
-            neg[k:k + size] = (-c).to_bytes(size, "little")
-    packed = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    half = 1 << (8 * size - 1)
+    if size > 8:
+        raw = bytearray((bytes(size - 1) + b"\x80") * n_slots)
+        for (eq, et), c in terms.items():
+            k = (eq // g_q * n_t + et // g_t + base) * size
+            raw[k:k + size] = (c + half).to_bytes(size, "little")
+    else:
+        words = array("Q", (half,)) * n_slots
+        for (eq, et), c in terms.items():
+            words[eq // g_q * n_t + et // g_t + base] = c + half
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+        if size < 8:
+            wide, raw = raw, bytearray(n_slots * size)
+            for j in range(size):
+                raw[j::size] = wide[j::8]
+    packed = int.from_bytes(raw, "little") - _bias(n_slots, size)
     return packed << (8 * size * low)
 
 
 def _unpack(total, box, size):
     """The Laurent polynomial that `_pack` packs into total, each of whose
-    coefficients c has |c| < 2^(8 size - 1): one pass adds 2^(8 size - 1)
-    to every slot, which makes each slot non-negative."""
+    coefficients c has |c| < 2^(8 size - 1): adding the bias 2^(8 size - 1)
+    to every slot makes each slot non-negative, and slots of up to 8 bytes
+    are widened by strided copies into one array of machine words; wider
+    ones are read byte by byte."""
     if not total:
         return L_ZERO
     lo_q, lo_t, g_q, g_t, n_t, n_q = box
     n_slots = n_q * n_t
     half = 1 << (8 * size - 1)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n_slots, "little")
-    raw = (total + bias).to_bytes(n_slots * size, "little")
+    raw = (total + _bias(n_slots, size)).to_bytes(n_slots * size, "little")
+    if size > 8:
+        words = [int.from_bytes(raw[k:k + size], "little")
+                 for k in range(0, n_slots * size, size)]
+    else:
+        if size < 8:
+            narrow, raw = raw, bytearray(8 * n_slots)
+            for j in range(size):
+                raw[j::8] = narrow[j::size]
+        words = array("Q")
+        words.frombytes(raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+    t_exps = range(lo_t, lo_t + n_t * g_t, g_t)
     out = {}
-    for k in range(n_slots):
-        v = int.from_bytes(raw[k * size:(k + 1) * size], "little")
-        if v != half:
-            x, y = divmod(k, n_t)
-            out[(lo_q + x * g_q, lo_t + y * g_t)] = v - half
+    for x in range(n_q):
+        eq = lo_q + x * g_q
+        for et, v in zip(t_exps, words[x * n_t:(x + 1) * n_t]):
+            if v != half:
+                out[(eq, et)] = v - half
     return Laurent._of(out)
+
+
+# Term pairs from which `Laurent.__mul__` multiplies integer operands on
+# packed integers.  Timed one by one like `_PACK_WORK`, on the integer
+# products of at least 16 term pairs of the three workloads at seed 1
+# (refined_deep 148, regular_deep 565, suite 256), packing is slower on
+# every product below 128 pairs, faster on most from 256 and 3.6x faster
+# on the four refined_deep products from 4096; the products cost in all,
+# in ms at thresholds 128 / 256 / 512 / never:
+#   refined_deep  16.1 / 15.8 / 17.5 / 32.8
+#   regular_deep  19.2 / 17.7 / 17.7 / 17.7
+#   suite          5.3 /  5.1 /  5.4 /  5.4
+_MUL_PACK_WORK = 256
+
+
+def _mul_packed(a, b):
+    """The product of the term dicts a and b (both nonzero) on packed
+    integers, or None when a coefficient is not an int.
+
+    Kronecker substitution, as in `_lift_packed`: both operands are packed
+    on one lattice lo + g_q Z x g_t Z, g the gcds of each operand's
+    exponent differences, with n_t slots per q row, n_t - 1 the sum of
+    the two t spans in lattice steps.  Then idx_a(e) + idx_b(f) is the slot
+    of e + f in the product box, which spans hull(a) + hull(b) from lo_a +
+    lo_b, and no row wraps, so the product of the two integers packs the
+    product polynomial.  Each of its coefficients is a sum of c_e d_f over
+    pairs of terms, so it is at most min(|a|_1 |b|_inf, |a|_inf |b|_1) in
+    size; that bound, which the operands' own coefficients do not exceed,
+    plus a sign bit, rounded up to whole bytes, is the slot width."""
+    abs_a, abs_b = list(map(abs, a.values())), list(map(abs, b.values()))
+    norm_a, norm_b = sum(abs_a), sum(abs_b)
+    if type(norm_a) is not int or type(norm_b) is not int:
+        return None
+    bound = min(norm_a * max(abs_b), max(abs_a) * norm_b)
+    size = (bound.bit_length() + 8) // 8
+    qa, ta = zip(*a)
+    qb, tb = zip(*b)
+    g_q = gcd(*(x - qa[0] for x in qa), *(x - qb[0] for x in qb)) or 1
+    g_t = gcd(*(y - ta[0] for y in ta), *(y - tb[0] for y in tb)) or 1
+    lo_qa, lo_ta, lo_qb, lo_tb = min(qa), min(ta), min(qb), min(tb)
+    n_t = (max(ta) - lo_ta + max(tb) - lo_tb) // g_t + 1
+    n_q = (max(qa) - lo_qa + max(qb) - lo_qb) // g_q + 1
+    packed = (_pack(a, (lo_qa, lo_ta, g_q, g_t, n_t, None), size)
+              * _pack(b, (lo_qb, lo_tb, g_q, g_t, n_t, None), size))
+    return _unpack(packed, (lo_qa + lo_qb, lo_ta + lo_tb, g_q, g_t, n_t, n_q), size)
+
+
+def _bias(n_slots, size):
+    """2^(8 size - 1) in each of n_slots slots of size bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n_slots, "little")
 
 
 # Work estimate at which `_lift_sum` packs.  The dict kernel makes about one
 # dict operation per numerator term per factor step; the packed one has a
 # fixed setup, one Python step per numerator term and per box slot, and big
-# integer steps in C.  Timed one by one on the 1,593 sums that the three
-# perfbench workloads make at seed 1 (suite 861, refined_deep 239,
-# regular_deep 493), dicts are faster on 93-98% of the packable sums below
-# 4096, but packing is up to 14x faster on the largest.  Summed per workload,
-# packing from 2048 on is within 5% of the best threshold on each (1024 on
-# suite, 256 on refined_deep, 4096 on regular_deep) and no threshold beats it
-# on all three; it is 3x, 14% and 8% faster than dicts alone on them.
-_PACK_WORK = 2048
+# integer steps in C.  Timed one by one (best of 3-5, one process) on the
+# sums with work the three perfbench workloads make at seed 1 (packable:
+# refined_deep 93, regular_deep 248, suite 390), the sums cost in all, in ms
+# at thresholds 256 / 512 / 1024 / 2048 / never:
+#   refined_deep  103 / 107 / 120 / 120 / 795
+#   regular_deep   68 /  67 /  65 /  63 /  59
+#   suite          52 /  53 /  51 /  59 /  92
+# Dicts win on most sums below 1024 and packing on the largest, but the
+# estimate predicts the faster kernel of a single sum badly, so the
+# threshold is the one whose totals are close to the best on the two
+# workloads with large sums and cost regular_deep about 1% of its run.
+_PACK_WORK = 512
 
 
 def _lift_sum(items, steps):

@@ -107,23 +107,28 @@ def _det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
+    return _minor(rows, 0, (1 << n) - 1, {})
 
-    @cache
-    def minor(r, cols):
-        if r == n:
-            return RF_ONE
+
+def _minor(rows, r, cols, memo):
+    """The minor of rows r.. on the column set cols (a bit mask), by
+    Laplace expansion along row r; memo maps cols, which fixes r, to its
+    minor.  The memo is passed along, not closed over by a function that
+    calls itself, which would be a reference cycle holding every minor."""
+    if r == len(rows):
+        return RF_ONE
+    value = memo.get(cols)
+    if value is None:
         terms = []
         sign = 1
         for j in _bits(cols):
             entry = rows[r][j]
             if not entry.is_zero():
-                sub = minor(r + 1, cols & ~(1 << j))
-                term = entry * sub
+                term = entry * _minor(rows, r + 1, cols & ~(1 << j), memo)
                 terms.append(term if sign > 0 else -term)
             sign = -sign
-        return RationalFunction.sum_of(terms)
-
-    return minor(0, (1 << n) - 1)
+        value = memo[cols] = RationalFunction.sum_of(terms)
+    return value
 
 
 def _bits(mask):

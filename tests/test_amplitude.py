@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from rp3vertex import amplitude, partitions, specialize, vertex
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
                                  _fiber0, _g_rows, closed_amplitude, normalize,
                                  normalized_amplitude, open_amplitude)
@@ -364,3 +367,23 @@ def test_normalized_size_guard():
                                               refined=True, cutoff=5))
     assert sum(len(c.num.terms) for c in zhat.coeffs.values()) <= 551
     assert sum(m for c in zhat.coeffs.values() for _f, m in c.factors) <= 42
+
+
+def test_exact_core_leaves_no_reference_cycles():
+    # the CLI runs with the cyclic garbage collector suspended, which only
+    # costs nothing while the exact core builds no cycle
+    for module in (amplitude, partitions, specialize, vertex):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for refined in (False, True):
+            normalized_amplitude(AmplitudeSpec(alpha=Partition([2, 1]), gamma=BOX,
+                                               refined=refined, cutoff=3))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

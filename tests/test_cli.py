@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -342,12 +343,33 @@ def test_cli_import_skips_dataclasses():
     # every command is a cold process; importing dataclasses (and the
     # inspect module it pulls in) adds about 17 ms to a cold Python 3.11
     # start on a 2-vCPU host, so the package keeps to plain classes and
-    # named tuples
+    # named tuples; and only check and compare import the analysis module
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rp3vertex.cli; print('dataclasses' in sys.modules)"],
+         "import sys, rp3vertex.cli; "
+         "print([m in sys.modules for m in ('dataclasses', 'rp3vertex.analysis')])"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["compute", "--cutoff", "1"],
+                                  ["compute", "--cutoff", "9"]])
+def test_main_leaves_the_gc_state_as_it_found_it(capsys, enabled, argv):
+    # main suspends the cyclic collector while a command runs; an in-process
+    # caller finds it as it was, after a usage error too, and nothing frozen
+    was = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            assert main(argv) == 0
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import one_minus, reference_expand, reference_rf_equal, series_multiply
 from rp3vertex import ring
-from rp3vertex.ring import (_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
-                            Laurent, QSeries, RationalFunction, _divide_one_minus,
-                            _lift_dict, _lift_packed, _lift_sum, _times_one_minus, expand,
+from rp3vertex.ring import (_MUL_PACK_WORK, _PACK_WORK, RF_ONE, RF_ZERO, ExpansionError,
+                            KahlerSeries, Laurent, QSeries, RationalFunction,
+                            _divide_one_minus, _lift_dict, _lift_packed, _lift_sum,
+                            _mul_packed, _pack, _times_one_minus, _unpack, expand,
                             series_divide)
 
 q = RationalFunction.monomial(2, 0)
@@ -541,7 +542,7 @@ def test_packed_lift_matches_dict_lift(case):
     assert_kernels_agree(*case)
 
 
-@pytest.mark.parametrize("size", range(1, 11))
+@pytest.mark.parametrize("size", range(1, 18))
 def test_packed_slots_at_the_bound(size):
     # the bound sum |num|_1 * 2^need is just under 2^(8 size - 1), so the
     # slots are exactly size bytes wide
@@ -556,6 +557,60 @@ def test_packed_slots_at_the_bound(size):
     for sign in (1, -1):
         assert_kernels_agree([(Laurent({(0, 0): sign * 2 ** (8 * size - 2)}), [0])] * 2,
                              [(2, 0)])
+    # a product whose middle coefficient 2 c d is its slot bound, just
+    # under 2^(8 size - 1)
+    d = (2 ** (8 * size - 1) - 1) // 2
+    for sign in (1, -1):
+        a, b = {(0, 0): sign, (1, 1): sign}, {(3, -1): d, (4, 0): d}
+        assert _mul_packed(a, b).terms == {(3, -1): sign * d, (4, 0): 2 * sign * d,
+                                           (5, 1): sign * d}
+
+
+@pytest.mark.parametrize("size", range(1, 18))
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_pack_round_trip(size, data):
+    # word slots (8 bytes), narrowed ones (1-7) and byte-looped ones (9-17),
+    # at the largest coefficients a slot holds, on boxes at any offset
+    top = 2 ** (8 * size - 1) - 1
+    coeffs = st.sampled_from([top, -top]) | st.integers(-top, top).filter(bool)
+    lo_q, lo_t = data.draw(st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+    g_q, g_t = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    n_q, n_t = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    slots = data.draw(st.dictionaries(st.tuples(st.integers(0, n_q - 1),
+                                                st.integers(0, n_t - 1)),
+                                      coeffs, min_size=1, max_size=8))
+    terms = {(lo_q + x * g_q, lo_t + y * g_t): c for (x, y), c in slots.items()}
+    box = (lo_q, lo_t, g_q, g_t, n_t, n_q)
+    assert _unpack(_pack(terms, box, size), box, size).terms == terms
+
+
+OPERANDS = st.tuples(st.dictionaries(EXPONENTS, KERNEL_COEFFS, min_size=1, max_size=8),
+                     st.tuples(st.integers(-40, 40), st.integers(-40, 40))).map(
+    lambda case: {(x + case[1][0], y + case[1][1]): c for (x, y), c in case[0].items()})
+
+
+@settings(deadline=None, max_examples=300)
+@given(OPERANDS, OPERANDS)
+# (1 + q)(1 - q): the middle terms cancel
+@example({(0, 0): 1, (2, 0): 1}, {(0, 0): 1, (2, 0): -1})
+# one-slot boxes
+@example({(3, -5): 7}, {(-1, 2): -2 ** 70})
+@example({(0, 0): -1}, {(0, 0): 1})
+def test_packed_product_matches_dict_product(a, b):
+    want = general_product(Laurent(a), Laurent(b)).terms
+    got = _mul_packed(a, b)
+    assert got.terms == want
+    assert all(got.terms.values())
+
+
+def test_fraction_operands_take_the_dict_product():
+    a = Laurent({(x, y): x - y or 1 for x in range(16) for y in range(-8, 8, 2)})
+    b = Laurent({(x, 3 * y): Fraction(x + 1, y + 2) for x in range(4) for y in range(4)})
+    assert len(a.terms) * len(b.terms) >= _MUL_PACK_WORK
+    assert _mul_packed(a.terms, b.terms) is None
+    assert _mul_packed(b.terms, a.terms) is None
+    assert (a * b).terms == (b * a).terms == general_product(a, b).terms
 
 
 def test_packed_lift_declines():
