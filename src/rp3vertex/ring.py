@@ -14,13 +14,13 @@ and two values are equal when their difference is zero, a sum that lifts
 both numerators to the LCM of the two denominators; the expanded
 denominator `den` is built by the same lifting.  A sum applies each LCM
 step its terms miss once per group of terms that need it equally often,
-to their partial sum, not to every term's numerator on its own.  Large
-sums with integer coefficients do that on packed integers (Kronecker
-substitution): every numerator becomes one Python integer with a
-fixed-width slot per lattice point of a box that holds every partial sum,
-a step 1 - m becomes one shift and subtract, and the result is decoded
-once; the slot width is proved wide enough for every coefficient, so the
-terms are the same as on dicts (see `_lift_packed`).  Large products with
+to their partial sum, not to every term's numerator on its own.  Every
+sum does that on packed integers (Kronecker substitution): the numerators
+that need the same steps become one Python integer with a fixed-width
+slot per lattice point of a box that holds every partial sum, a step
+1 - m becomes one shift and subtract, and the result is decoded once; the
+slot width is proved wide enough for every coefficient, so the decoded
+terms are exact (see `_lift_sum`).  Large products with
 integer coefficients are one product of two packed integers (see
 `_mul_packed`).  Sums do not cancel;
 `cancelled` divides the numerator exactly by each step 1 - m that divides
@@ -35,8 +35,9 @@ import sys
 from array import array
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, product, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 
 def checked_make(cls, iterable):
@@ -315,20 +316,6 @@ def _one_minus(m):
     return Laurent._of({(0, 0): 1, m: -1})
 
 
-def _times_one_minus(p, m):
-    """p * (1 - m): p minus p shifted by m, with no coefficient products."""
-    mq, mt = m
-    out = dict(p.terms)
-    for (pq, pt), c in p.terms.items():
-        e = (pq + mq, pt + mt)
-        v = out.get(e, 0) - c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return Laurent._of(out)
-
-
 def _divide_one_minus(terms, m, last=None):
     """terms / (1 - m) as a Laurent: exact, or None when 1 - m does not
     divide; or, given `last`, the power series in m cut after doubled
@@ -388,147 +375,151 @@ def _one_minus_steps(f):
     return steps if terms == {(0, 0): 1} else None
 
 
-def _horner(items, lifts, i, total):
-    """Sum of num * prod(lifts[j] applied need[j] times, j >= i) over (num,
-    need) items, where total sums a list of numerators.  Items are grouped by
-    their need of the first factor some of them need, each group is lifted
-    by the factors after it, and the groups are combined in Horner form, so
-    that factor multiplies partial sums, not numerators one by one.
-    Recursion depth is at most len(lifts) + 1."""
-    while i < len(lifts):
+def _horner(items, shifts, i):
+    """Sum of num * prod((1 - x^shifts[j]) ** need[j], j >= i) over (num,
+    need) items, each num a packed integer with slot base x (see
+    `_lift_sum`).  Items are grouped by their need of the first step some of
+    them need, each group is lifted by the steps after it, and the groups
+    are combined in Horner form, so that a step multiplies partial sums, not
+    numerators one by one; a group of one item is lifted step by step.
+    The items' needs are distinct, so they differ at some step from i on,
+    and recursion depth is at most len(shifts) + 1."""
+    if len(items) == 1:
+        num, need = items[0]
+        for j in range(i, len(shifts)):
+            for _ in range(need[j]):
+                num -= num << shifts[j]
+        return num
+    while True:
         groups = {}
         for item in items:
             groups.setdefault(item[1][i], []).append(item)
         if len(groups) > 1 or 0 not in groups:
             break
         i += 1
-    else:
-        if len(items) == 1:
-            return items[0][0]
-        return total([num for num, _need in items])
-    lift = lifts[i]
+    shift = shifts[i]
     acc = 0
     for k in range(max(groups), -1, -1):
-        if acc:
-            acc = lift(acc)
+        acc -= acc << shift
         part = groups.get(k)
         if part is not None:
-            part = _horner(part, lifts, i + 1, total)
-            acc = acc + part if acc else part
+            acc += _horner(part, shifts, i + 1)
     return acc
 
 
-def _laurent_total(nums):
-    out = {}
-    for num in nums:
-        for e, c in num.terms.items():
-            out[e] = out.get(e, 0) + c
-    return Laurent(out)
+def _lift_sum(items, steps):
+    """Sum of num * prod((1 - steps[j]) ** need[j]) over (num, need) items,
+    each num nonzero, on packed integers (Kronecker substitution): the items
+    that need the same steps are packed into one integer, their sum, and
+    those integers are lifted and combined by `_horner`.
 
+    A backward step m = q^a t^b, a < 0 or a = 0 and b < 0, would shift slots
+    down, so it is turned around first: (1 - m)^k = (-m)^k (1 - 1/m)^k, so
+    each item is multiplied by (-m)^need for every backward m, and 1/m is
+    lifted instead.  Then every step has a > 0, or a = 0 and b > 0.
 
-def _lift_dict(items, steps):
-    """The lifted sum (see `_lift_sum`) on Laurent dicts, one dict
-    operation per term for each step."""
-    return _horner(items, [lambda acc, m=m: _times_one_minus(acc, m) for m in steps],
-                   0, _laurent_total)
-
-
-def _lift_packed(items, steps):
-    """The lifted sum (see `_lift_sum`) on packed integers, or None when the
-    packing declines: a coefficient is not an int, or a step has a negative
-    slot shift (the engine builds no such step: each is q^a t^b with a >= 0,
-    and b > 0 when a = 0).
-
-    Kronecker substitution.  Every exponent the sum reaches, in every
-    Horner partial sum too, is an exponent of an item num_i plus at most
-    need_ij times each step m_j.  So it lies on the lattice lo + g_q Z x
-    g_t Z (g the gcds of the item-exponent differences and the step
-    exponents) and in the box that spans each hull(num_i) + sum_j need_ij
-    [0, m_j].  idx(e) = ((e_q - lo_q)/g_q) n_t + (e_t - lo_t)/g_t numbers
-    the box's lattice points q-major, n_t per q row; it is affine and
-    one-to-one on the box, so a polynomial on the box is the integer sum
-    c_e x^idx(e) at x = 2^W, and m = q^a t^b is x^s with s = (a/g_q) n_t +
-    b/g_t, which must be >= 0 (it is when a > 0: n_t exceeds the t width of
-    each m_j).  Evaluation at x = 2^W is a ring homomorphism, so the
-    integers are exact whatever their slots hold, and only the final
+    Every exponent the sum reaches, in every Horner partial sum too, is an
+    exponent of an item num_i plus at most need_ij times each step m_j.  So
+    it lies on the lattice lo + g_q Z x g_t Z (g the gcds of the
+    item-exponent differences and the step exponents) and in the box that
+    spans each hull(num_i) + sum_j need_ij [0, m_j].  idx(e) = ((e_q -
+    lo_q)/g_q) n_t + (e_t - lo_t)/g_t numbers the box's lattice points
+    q-major, n_t per q row; it is affine and one-to-one on the box, so a
+    polynomial on the box is the integer sum c_e x^idx(e) at x = 2^W, and m
+    = q^a t^b is x^s with s = (a/g_q) n_t + b/g_t > 0 (n_t exceeds the t
+    width of each m_j).  Evaluation at x = 2^W is a ring homomorphism, so
+    the integers are exact whatever their slots hold, and only the final
     integer is decoded: right when each of its coefficients has |c| <
-    2^(W-1).  The result is sum_i num_i prod_j (1 - m_j)^need_ij, and its
-    1-norm, which bounds each of its coefficients (and those of every
-    partial sum), is at most S = sum_i |num_i|_1 2^(sum_j need_j), need_j
-    the largest need_ij, because |a b|_1 <= |a|_1 |b|_1 and |1 - m|_1 = 2.
-    So W is the bit length of S plus a sign bit, rounded up to whole bytes,
-    and a step 1 - m lifts by acc - (acc << W s(m))."""
-    need = [max(nd[j] for _num, nd in items) for j in range(len(steps))]
-    used = [j for j, n in enumerate(need) if n]
-    # how far the used steps reach: up in q, down and up in t; no step with
-    # a negative q exponent gets past the shift check below, so q reaches
-    # only upward
-    reach = [[max(0, steps[j][0]) for j in used],
-             [min(0, steps[j][1]) for j in used],
-             [max(0, steps[j][1]) for j in used]]
-    base_q, base_t = next(iter(items[0][0].terms))
-    g_q = gcd(*(steps[j][0] for j in used))
-    g_t = gcd(*(steps[j][1] for j in used))
-    corners = []
-    norm = 0
+    2^(W-1).  The result's 1-norm, which bounds each of its coefficients
+    (and those of every partial sum), is at most S = sum_i |num_i|_1
+    2^(sum_j need_j), need_j the largest need_ij, because |a b|_1 <= |a|_1
+    |b|_1 and |1 - m|_1 = 2.  So W is the bit length of S plus a sign bit,
+    rounded up to whole bytes, and a step 1 - m lifts by acc - (acc << W
+    s(m)).  Coefficients that are not all ints (S is then no int) are made
+    integers by the lcm L of their denominators, and the sum divided by L."""
+    if steps and min(steps) < (0, 0):
+        turned = []
+        for num, nd in items:
+            dq = dt = k = 0
+            for n, (a, b) in zip(nd, steps):
+                if (a, b) < (0, 0):
+                    dq, dt, k = dq + n * a, dt + n * b, k + n
+            num = num.shift(dq, dt)
+            turned.append((-num if k % 2 else num, nd))
+        items = turned
+        steps = [(-a, -b) if (a, b) < (0, 0) else (a, b) for a, b in steps]
+    groups = {}
     for num, nd in items:
-        # a sum is a Fraction as soon as one of its terms is
-        norm += sum(map(abs, num.terms.values()))
-        q, t = zip(*num.terms)
-        g_q = gcd(g_q, *(x - base_q for x in q))
-        g_t = gcd(g_t, *(y - base_t for y in t))
-        k = [nd[j] for j in used]
-        corners.append((min(q), max(q) + sum(map(mul, k, reach[0])),
-                        min(t) + sum(map(mul, k, reach[1])),
-                        max(t) + sum(map(mul, k, reach[2]))))
+        groups.setdefault(tuple(nd), []).append(num.terms)
+    need = list(map(max, zip(*groups)))
+    # how far each step reaches, up in q, down and up in t; 0 for a step no
+    # item needs, so that its exponents stay out of the lattice gcds
+    up_q = [a if n else 0 for (a, _b), n in zip(steps, need)]
+    down_t = [min(0, b) if n else 0 for (_a, b), n in zip(steps, need)]
+    up_t = [max(0, b) if n else 0 for (_a, b), n in zip(steps, need)]
+    qs, ts, corners = set(), set(), []
+    norm = 0
+    for nd, polys in groups.items():
+        norm += sum(map(abs, chain.from_iterable(map(dict.values, polys))))
+        q, t = zip(*chain.from_iterable(polys))
+        qs.update(q)
+        ts.update(t)
+        corners.append((min(q), max(q) + sum(map(mul, nd, up_q)),
+                        min(t) + sum(map(mul, nd, down_t)),
+                        max(t) + sum(map(mul, nd, up_t))))
     if type(norm) is not int:
-        return None
-    g_q, g_t = g_q or 1, g_t or 1
+        # the type, not the denominator: an integral Fraction is no int either
+        den = lcm(*(c.denominator for num, _nd in items for c in num.terms.values()))
+        ints = [(Laurent._of({e: int(c * den) for e, c in num.terms.items()}), nd)
+                for num, nd in items]
+        return _lift_sum(ints, steps).scale(Fraction(1, den))
+    q0, t0 = min(qs), min(ts)
+    g_q = gcd(*up_q, *map(sub, qs, repeat(q0))) or 1
+    g_t = gcd(*down_t, *up_t, *map(sub, ts, repeat(t0))) or 1
     lows_q, highs_q, lows_t, highs_t = zip(*corners)
     lo_q, hi_q, lo_t, hi_t = min(lows_q), max(highs_q), min(lows_t), max(highs_t)
     size = ((norm << sum(need)).bit_length() + 8) // 8
-    width = 8 * size
     n_t = (hi_t - lo_t) // g_t + 1
     box = (lo_q, lo_t, g_q, g_t, n_t, (hi_q - lo_q) // g_q + 1)
-    lifts = [None] * len(steps)
-    for j in used:
-        mq, mt = steps[j]
-        shift = (mq // g_q * n_t + mt // g_t) * width
-        if shift < 0:
-            return None
-        lifts[j] = lambda acc, s=shift: acc - (acc << s)
-    total = _horner([(_pack(num.terms, box, size), nd) for num, nd in items],
-                    lifts, 0, sum)
+    shifts = [(a // g_q * n_t + b // g_t) * 8 * size if n else 0
+              for (a, b), n in zip(steps, need)]
+    total = _horner([(_pack(polys, box, size), nd) for nd, polys in groups.items()],
+                    shifts, 0)
     return _unpack(total, box, size)
 
 
-def _pack(terms, box, size):
-    """The integer sum c 2^(8 size idx(e)) over the terms c q^e, idx the
-    slot number of e in box (see `_lift_packed`); each |c| < 2^(8 size - 1).
+def _pack(polys, box, size):
+    """The integer sum c 2^(8 size idx(e)) over the terms c q^e of the term
+    dicts polys, idx the slot number of e in box (see `_lift_sum`); each
+    coefficient of their sum, and each partial sum of the coefficients of
+    one exponent, has |c| < 2^(8 size - 1).
 
-    Each slot first holds c + 2^(8 size - 1), empty ones the bias
-    2^(8 size - 1) alone, so that every slot is non-negative, and one
-    subtraction of the bias total leaves the packed value.  Slots of up to
-    8 bytes are filled as one array of machine words whose bytes strided
-    copies narrow to the slot width; wider ones are filled byte by byte."""
+    Each slot starts at the bias 2^(8 size - 1) and adds its coefficients,
+    so that every slot stays non-negative, and one subtraction of the bias
+    total leaves the packed value.  Slots of up to 8 bytes are filled as
+    one array of machine words whose bytes strided copies narrow to the
+    slot width; wider ones are filled byte by byte."""
     lo_q, lo_t, g_q, g_t, n_t, _n_q = box
     # lexicographic order of exponents is slot order
-    eq, et = min(terms)
+    eq, et = min(map(min, polys))
     low = (eq - lo_q) // g_q * n_t + (et - lo_t) // g_t
-    eq, et = max(terms)
+    eq, et = max(map(max, polys))
     n_slots = (eq - lo_q) // g_q * n_t + (et - lo_t) // g_t - low + 1
     # e_q // g_q - lo_q // g_q == (e_q - lo_q) // g_q on the lattice
     base = -(lo_q // g_q * n_t + lo_t // g_t + low)
     half = 1 << (8 * size - 1)
     if size > 8:
         raw = bytearray((bytes(size - 1) + b"\x80") * n_slots)
-        for (eq, et), c in terms.items():
-            k = (eq // g_q * n_t + et // g_t + base) * size
-            raw[k:k + size] = (c + half).to_bytes(size, "little")
+        for terms in polys:
+            for (eq, et), c in terms.items():
+                k = (eq // g_q * n_t + et // g_t + base) * size
+                c += int.from_bytes(raw[k:k + size], "little")
+                raw[k:k + size] = c.to_bytes(size, "little")
     else:
         words = array("Q", (half,)) * n_slots
-        for (eq, et), c in terms.items():
-            words[eq // g_q * n_t + et // g_t + base] = c + half
+        for terms in polys:
+            for (eq, et), c in terms.items():
+                words[eq // g_q * n_t + et // g_t + base] += c
         if sys.byteorder == "big":
             words.byteswap()
         raw = words.tobytes()
@@ -564,20 +555,15 @@ def _unpack(total, box, size):
         words.frombytes(raw)
         if sys.byteorder == "big":
             words.byteswap()
-    t_exps = range(lo_t, lo_t + n_t * g_t, g_t)
-    out = {}
-    for x in range(n_q):
-        eq = lo_q + x * g_q
-        for et, v in zip(t_exps, words[x * n_t:(x + 1) * n_t]):
-            if v != half:
-                out[(eq, et)] = v - half
-    return Laurent._of(out)
+    # slot order is q-major
+    exps = product(range(lo_q, lo_q + n_q * g_q, g_q), range(lo_t, lo_t + n_t * g_t, g_t))
+    return Laurent._of({e: v - half for e, v in zip(exps, words) if v != half})
 
 
 # Term pairs from which `Laurent.__mul__` multiplies integer operands on
-# packed integers.  Timed one by one like `_PACK_WORK`, on the integer
-# products of at least 16 term pairs of the three workloads at seed 1
-# (refined_deep 148, regular_deep 565, suite 256), packing is slower on
+# packed integers.  Timed one by one (best of 3-5, one process), on the
+# integer products of at least 16 term pairs of the three workloads at seed
+# 1 (refined_deep 148, regular_deep 565, suite 256), packing is slower on
 # every product below 128 pairs, faster on most from 256 and 3.6x faster
 # on the four refined_deep products from 4096; the products cost in all,
 # in ms at thresholds 128 / 256 / 512 / never:
@@ -591,7 +577,7 @@ def _mul_packed(a, b):
     """The product of the term dicts a and b (both nonzero) on packed
     integers, or None when a coefficient is not an int.
 
-    Kronecker substitution, as in `_lift_packed`: both operands are packed
+    Kronecker substitution, as in `_lift_sum`: both operands are packed
     on one lattice lo + g_q Z x g_t Z, g the gcds of each operand's
     exponent differences, with n_t slots per q row, n_t - 1 the sum of
     the two t spans in lattice steps.  Then idx_a(e) + idx_b(f) is the slot
@@ -614,48 +600,14 @@ def _mul_packed(a, b):
     lo_qa, lo_ta, lo_qb, lo_tb = min(qa), min(ta), min(qb), min(tb)
     n_t = (max(ta) - lo_ta + max(tb) - lo_tb) // g_t + 1
     n_q = (max(qa) - lo_qa + max(qb) - lo_qb) // g_q + 1
-    packed = (_pack(a, (lo_qa, lo_ta, g_q, g_t, n_t, None), size)
-              * _pack(b, (lo_qb, lo_tb, g_q, g_t, n_t, None), size))
+    packed = (_pack([a], (lo_qa, lo_ta, g_q, g_t, n_t, None), size)
+              * _pack([b], (lo_qb, lo_tb, g_q, g_t, n_t, None), size))
     return _unpack(packed, (lo_qa + lo_qb, lo_ta + lo_tb, g_q, g_t, n_t, n_q), size)
 
 
 def _bias(n_slots, size):
     """2^(8 size - 1) in each of n_slots slots of size bytes."""
     return int.from_bytes((bytes(size - 1) + b"\x80") * n_slots, "little")
-
-
-# Work estimate at which `_lift_sum` packs.  The dict kernel makes about one
-# dict operation per numerator term per factor step; the packed one has a
-# fixed setup, one Python step per numerator term and per box slot, and big
-# integer steps in C.  Timed one by one (best of 3-5, one process) on the
-# sums with work the three perfbench workloads make at seed 1 (packable:
-# refined_deep 93, regular_deep 248, suite 390), the sums cost in all, in ms
-# at thresholds 256 / 512 / 1024 / 2048 / never:
-#   refined_deep  103 / 107 / 120 / 120 / 795
-#   regular_deep   68 /  67 /  65 /  63 /  59
-#   suite          52 /  53 /  51 /  59 /  92
-# Dicts win on most sums below 1024 and packing on the largest, but the
-# estimate predicts the faster kernel of a single sum badly, so the
-# threshold is the one whose totals are close to the best on the two
-# workloads with large sums and cost regular_deep about 1% of its run.
-_PACK_WORK = 512
-
-
-def _lift_sum(items, steps):
-    """Sum of num * prod((1 - steps[j]) ** need[j]) over (num, need) items,
-    each num nonzero.
-
-    The work estimate is the items' numerator terms times the step
-    applications (the sum over steps of the largest need).  From _PACK_WORK
-    on the sum is lifted on packed integers (`_lift_packed`) unless the
-    packing declines, else on Laurent dicts (`_lift_dict`); both give the
-    same terms."""
-    work = sum(max(nd[j] for _num, nd in items) for j in range(len(steps)))
-    if work * sum(len(num.terms) for num, _need in items) >= _PACK_WORK:
-        total = _lift_packed(items, steps)
-        if total is not None:
-            return total
-    return _lift_dict(items, steps)
 
 
 class RationalFunction:
