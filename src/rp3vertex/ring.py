@@ -24,11 +24,20 @@ terms are exact (see `_lift_sum`).  Large products with
 integer coefficients are one product of two packed integers (see
 `_mul_packed`).  Sums do not cancel;
 `cancelled` divides the numerator exactly by each step 1 - m that divides
-it, and is called only on the skew Schur leaves and in `series_divide`.
+it, and is called only on the skew Schur leaves and in `series_divide`,
+which divides each quotient coefficient's sum on the packed integer its
+lifting built, before decoding it.
 
-Every division by a step 1 - m, exact or as a power series cut at an
-order, goes through one kernel, `_divide_one_minus`; `expand`, which
-expands in q only, takes the denominators whose steps have a >= 0.
+The exact divisions of `cancelled` run on packed integers in one
+kernel, `_cancel_packed`, whose checks prove each quotient (see there).
+Every other division by a step 1 - m, exact or as a power series cut at
+an order, runs along the chains e + k m on dicts (`_divide_one_minus`):
+in `_one_minus_steps`, which splits a divisor polynomial of a few terms
+into its steps, each the least term of the last quotient, where packing
+every division of a few terms made `check --suite all` about 4% slower;
+and in `expand`, which expands in q only and takes the denominators
+whose steps have a >= 0, where a packed series won only 5 of 12
+alternating `check --suite all` pairs.
 """
 
 import sys
@@ -407,11 +416,14 @@ def _horner(items, shifts, i):
     return acc
 
 
-def _lift_sum(items, steps):
+def _lift_sum(items, steps, cancel=None):
     """Sum of num * prod((1 - steps[j]) ** need[j]) over (num, need) items,
     each num nonzero, on packed integers (Kronecker substitution): the items
     that need the same steps are packed into one integer, their sum, and
-    those integers are lifted and combined by `_horner`.
+    those integers are lifted and combined by `_horner`.  Given `cancel`,
+    (m, k) pairs sorted by m, the packed sum is then divided exactly by each
+    step 1 - m as often as it divides, up to k (`_cancel_packed`), and the
+    quotient is returned with a dict of the k left of each m.
 
     A backward step m = q^a t^b, a < 0 or a = 0 and b < 0, would shift slots
     down, so it is turned around first: (1 - m)^k = (-m)^k (1 - 1/m)^k, so
@@ -436,7 +448,11 @@ def _lift_sum(items, steps):
     |b|_1 and |1 - m|_1 = 2.  So W is the bit length of S plus a sign bit,
     rounded up to whole bytes, and a step 1 - m lifts by acc - (acc << W
     s(m)).  Coefficients that are not all ints (S is then no int) are made
-    integers by the lcm L of their denominators, and the sum divided by L."""
+    integers by the lcm L of their denominators, and the sum divided by L.
+    To cancel, the lattice takes in the exponents of the steps of `cancel`
+    too, each row gets padding columns after its data columns, as many as
+    the largest t-reach |b|/g_t of those steps, and W two more bits than S
+    needs (see `_cancel_packed`)."""
     if steps and min(steps) < (0, 0):
         turned = []
         for num, nd in items:
@@ -472,20 +488,131 @@ def _lift_sum(items, steps):
         den = lcm(*(c.denominator for num, _nd in items for c in num.terms.values()))
         ints = [(Laurent._of({e: int(c * den) for e, c in num.terms.items()}), nd)
                 for num, nd in items]
-        return _lift_sum(ints, steps).scale(Fraction(1, den))
+        if cancel is None:
+            return _lift_sum(ints, steps).scale(Fraction(1, den))
+        quo, left = _lift_sum(ints, steps, cancel)
+        return quo.scale(Fraction(1, den)), left
+    # the steps to cancel, each turned to shift slots up
+    divisors = [m if m > (0, 0) else (-m[0], -m[1]) for m, _k in cancel or ()]
     q0, t0 = min(qs), min(ts)
-    g_q = gcd(*up_q, *map(sub, qs, repeat(q0))) or 1
-    g_t = gcd(*down_t, *up_t, *map(sub, ts, repeat(t0))) or 1
+    g_q = gcd(*up_q, *(a for a, _b in divisors), *map(sub, qs, repeat(q0))) or 1
+    g_t = gcd(*down_t, *up_t, *(b for _a, b in divisors), *map(sub, ts, repeat(t0))) or 1
     lows_q, highs_q, lows_t, highs_t = zip(*corners)
     lo_q, hi_q, lo_t, hi_t = min(lows_q), max(highs_q), min(lows_t), max(highs_t)
-    size = ((norm << sum(need)).bit_length() + 8) // 8
-    n_t = (hi_t - lo_t) // g_t + 1
+    bound = norm << sum(need)
+    pad = max((abs(b) for _a, b in divisors), default=0) // g_t
+    size = (bound.bit_length() + (8 if cancel is None else 9)) // 8
+    n_t = (hi_t - lo_t) // g_t + 1 + pad
     box = (lo_q, lo_t, g_q, g_t, n_t, (hi_q - lo_q) // g_q + 1)
     shifts = [(a // g_q * n_t + b // g_t) * 8 * size if n else 0
               for (a, b), n in zip(steps, need)]
     total = _horner([(_pack(polys, box, size), nd) for nd, polys in groups.items()],
                     shifts, 0)
-    return _unpack(total, box, size)
+    if cancel is None:
+        return _unpack(total, box, size)
+    return _cancel_packed(total, box, size, pad, cancel, bound)
+
+
+def _cancel_packed(total, box, size, pad, cancel, bound):
+    """The polynomial N that total packs in box (see `_lift_sum`), divided
+    exactly by each step 1 - m of cancel, (m, k) pairs, in their order, as
+    often as it divides up to k; returns the quotient and a dict of the k
+    left of each m.  Each row of box ends in `pad` padding columns, at least
+    the t-reach |b|/g_t of every step, where N is zero; bound >= |N|_1, and
+    |N|_1 < 2^(W-2) for the slot width W = 8 size.
+
+    A backward step m (a < 0, or a = 0 and b < 0) is turned around, N / (1 -
+    m) = -(1/m) N / (1 - 1/m), the sign and the monomial kept aside until
+    the quotient is decoded, so every divisor is 1 - x^s with s > 0 slots.
+    The exact quotient Q, where there is one, is a running sum along the
+    chains e + k m of N, so its support lies in N's (in its t-range, off
+    the padding), and each of its coefficients is at most |N|_1.
+
+    A try: N(1, 1) = 0, else no step divides (1 - m vanishes there); the
+    packed N is congruent to the sum of its slots modulo 2^W - 1, so a
+    non-zero residue rules the step out (`_sums_to_zero`).  Then the
+    candidate is the geometric sum N (1 + x^s)(1 + x^2s)(1 + x^4s)... up to
+    x^n, n the box's slot count, cut to its low n slots with each slot
+    biased by 2^(W-2).  It is accepted when every data slot stays below
+    2^(W-1), every padding slot holds just the bias, and Q - (Q << W s) ==
+    N.  Then Q's coefficients have |c| < 2^(W-2), so those of (1 - m) Q
+    have |c| < 2^(W-1); N's do too, and no term of either lies outside one
+    window of n_t consecutive t-columns (Q is zero on the padding, which
+    is at least as wide as the t-reach of m), where idx is one-to-one: two
+    such polynomials with equal packed integers are equal, so (1 - m) Q =
+    N.  A quotient with |c| < 2^(W-2) that exists passes every check (the
+    cut sum is exactly it), so with |N|_1 < 2^(W-2) a failed try proves
+    that 1 - m does not divide.  The bound holds for the first try; after a
+    division the quotient's 1-norm is not known, so a failed try decodes N
+    and takes its 1-norm, and where it is not below 2^(W-2) the slots are
+    widened to fit it, N repacked and the try run again."""
+    lo_q, lo_t, g_q, g_t, n_t, n_q = box
+    n_slots = n_q * n_t
+    terms = None    # N decoded, while known
+    checks = None
+    off_q = off_t = 0
+    negate = False
+    left = {}
+    for m, k in cancel:
+        a, b = m if m > (0, 0) else (-m[0], -m[1])
+        while k and total and _sums_to_zero(total, 8 * size):
+            width = 8 * size
+            shift = (a // g_q * n_t + b // g_t) * width
+            if checks is None:
+                checks = _cancel_checks(n_q, n_t, pad, size)
+            bias, top, padded = checks
+            span, acc = shift, total
+            while span < n_slots * width:
+                acc += acc << span
+                span <<= 1
+            acc = (acc + bias) & ((1 << n_slots * width) - 1)
+            if acc & top == padded:
+                quo = acc - bias
+                if quo - (quo << shift) == total:
+                    total, terms, bound = quo, None, None
+                    if m < (0, 0):
+                        off_q, off_t, negate = off_q + a, off_t + b, not negate
+                    k -= 1
+                    continue
+            if bound is None:
+                terms = _unpack(total, box, size).terms
+                bound = sum(map(abs, terms.values()))
+            if bound < 1 << (width - 2):
+                break
+            size = (bound.bit_length() + 9) // 8
+            total, checks = _pack([terms], box, size), None
+        left[m] = k
+    if terms is None:
+        terms = _unpack(total, box, size).terms
+    quo = Laurent._of(terms).shift(off_q, off_t)
+    return (-quo if negate else quo), left
+
+
+def _sums_to_zero(x, width):
+    """Whether the base-2^width digits of x may sum to zero: x is congruent
+    to their sum modulo 2^width - 1, so a non-zero residue proves the sum
+    non-zero.  Halves are folded onto each other, x = hi 2^h + lo to hi +
+    lo (h a multiple of width), which keeps the residue; a `%` of a long x
+    by a modulus of more than one CPython digit (30 bits) costs up to 3x as
+    much as the folds, but about as much as one fold once x has 64 slots."""
+    while x.bit_length() > 64 * width:
+        h = (x.bit_length() // width + 1) // 2 * width
+        hi = x >> h
+        x = hi + (x - (hi << h))
+    return x % ((1 << width) - 1) == 0
+
+
+def _cancel_checks(n_q, n_t, pad, size):
+    """The constants of a try of `_cancel_packed` on n_q rows of n_t slots,
+    the last pad of them padding: the bias 2^(W-2) in every slot, the mask
+    of each data slot's top bit and each padding slot's bits, and the bias
+    of the padding slots alone."""
+    slot = bytes(size - 1)
+    bias = slot + b"\x40"
+    top = ((slot + b"\x80") * (n_t - pad) + b"\xff" * (size * pad)) * n_q
+    padded = (bytes(size * (n_t - pad)) + bias * pad) * n_q
+    return (int.from_bytes(bias * (n_q * n_t), "little"), int.from_bytes(top, "little"),
+            int.from_bytes(padded, "little"))
 
 
 def _pack(polys, box, size):
@@ -536,10 +663,18 @@ def _unpack(total, box, size):
     coefficients c has |c| < 2^(8 size - 1): adding the bias 2^(8 size - 1)
     to every slot makes each slot non-negative, and slots of up to 8 bytes
     are widened by strided copies into one array of machine words; wider
-    ones are read byte by byte."""
+    ones are read byte by byte.  Only the q rows from the lowest non-zero
+    slot's to the highest's are read: if slot k is the highest, |total| >
+    2^(8 size k - 1), since every |c| < 2^(8 size - 1), so k is at most
+    the bit length of total over 8 size."""
     if not total:
         return L_ZERO
     lo_q, lo_t, g_q, g_t, n_t, n_q = box
+    row = 8 * size * n_t
+    first = ((total & -total).bit_length() - 1) // row
+    total >>= first * row
+    lo_q += first * g_q
+    n_q = min(n_q - first, total.bit_length() // row + 1)
     n_slots = n_q * n_t
     half = 1 << (8 * size - 1)
     raw = (total + _bias(n_slots, size)).to_bytes(n_slots * size, "little")
@@ -692,6 +827,8 @@ class RationalFunction:
     @property
     def den(self):
         """The expanded denominator polynomial."""
+        if not self.factors:
+            return L_ONE
         return _lift_sum([(L_ONE, [k for _m, k in self.factors])],
                          [m for m, _k in self.factors])
 
@@ -751,8 +888,10 @@ class RationalFunction:
         return RationalFunction._make(self.num ** n, {m: k * n for m, k in self.factors})
 
     @staticmethod
-    def sum_of(values):
-        """n-ary sum over a shared step-wise LCM denominator.
+    def sum_of(values, cancel=False):
+        """n-ary sum over a shared step-wise LCM denominator; with `cancel`,
+        its `cancelled` form, divided on the packed integer the sum is
+        lifted to, before it is decoded.
 
         Each value is missing some LCM steps; those are applied step by
         step (most-needed first), each once per group of values that need
@@ -760,7 +899,7 @@ class RationalFunction:
         values = [rf for rf in map(RationalFunction.of, values) if not rf.is_zero()]
         if not values:
             return RF_ZERO
-        if len(values) == 1:
+        if len(values) == 1 and not cancel:
             return values[0]
         lcm = {}
         for v in values:
@@ -775,25 +914,22 @@ class RationalFunction:
         users = [sum(1 for _num, need in rows if need[j]) for j in range(len(steps))]
         order = sorted(range(len(steps)), key=lambda j: -users[j])
         items = [(num, [need[j] for j in order]) for num, need in rows]
-        total = _lift_sum(items, [steps[j] for j in order])
-        return RationalFunction._make(total, lcm)
+        steps = [steps[j] for j in order]
+        if not cancel:
+            return RationalFunction._make(_lift_sum(items, steps), lcm)
+        return RationalFunction._make(*_lift_sum(items, steps, sorted(lcm.items())))
 
     def cancelled(self):
         """The same value with each step 1 - m divided out of the numerator
-        as often as it divides exactly, up to its multiplicity."""
-        num = self.num
-        bag = {}
-        for m, k in self.factors:
-            while k:
-                quo = _divide_one_minus(num.terms, m)
-                if quo is None:
-                    break
-                num = quo
-                k -= 1
-            bag[m] = k
-        if num is self.num:
+        as often as it divides exactly, up to its multiplicity, in the order
+        of the steps (see `_cancel_packed`)."""
+        # every step vanishes at q = t = 1
+        if not self.factors or sum(self.num.terms.values()):
             return self
-        return RationalFunction._make(num, bag)
+        num, left = _lift_sum([(self.num, ())], (), self.factors)
+        if all(left[m] == k for m, k in self.factors):
+            return self
+        return RationalFunction._make(num, left)
 
     # -- comparisons -------------------------------------------------------
 
@@ -813,8 +949,23 @@ class RationalFunction:
     # -- substitutions -----------------------------------------------------
 
     def _map(self, fn):
-        return RationalFunction._over(
-            fn(self.num), [(fn(_one_minus(m)), k) for m, k in self.factors], {})
+        """The value under fn, a substitution of monomials for monomials
+        that is a ring homomorphism: each step 1 - m goes to 1 - fn(m), and
+        one below 1 is turned around, 1 - m' = -m' (1 - 1/m'), its -m' folded
+        into the numerator."""
+        num = fn(self.num)
+        bag = {}
+        sign = 1
+        for m, k in self.factors:
+            (a, b), = fn(Laurent._of({m: 1})).terms
+            if (a, b) == (0, 0):
+                raise ZeroDivisionError("zero denominator")
+            if Laurent._term_key((a, b)) < (0, 0, 0):
+                num = num.shift(-a * k, -b * k)
+                sign *= (-1) ** k
+                a, b = -a, -b
+            bag[a, b] = bag.get((a, b), 0) + k
+        return RationalFunction._make(num if sign > 0 else -num, bag)
 
     def substitute_t_eq_q(self):
         return self._map(Laurent.substitute_t_eq_q)
@@ -1040,13 +1191,10 @@ def canonical_series(slices, order_doubled):
 
 
 def _content(values):
-    num = 0
-    den = 1
-    for v in values:
-        f = Fraction(v)
-        num = gcd(num, abs(f.numerator))
-        den = lcm(den, f.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+    # an int is its own numerator over denominator 1, as a Fraction of it is
+    values = list(values)
+    num = gcd(*(v.numerator for v in values))
+    return Fraction(num, lcm(*(v.denominator for v in values))) if num else Fraction(1)
 
 
 def _tighten(f):
@@ -1178,6 +1326,7 @@ def series_divide(num, den):
     lead = den.coeffs.get((0, 0))
     if lead is None or lead.is_zero():
         raise ZeroDivisionError("denominator series has zero constant term")
+    lead_is_one = lead.is_one()
     quo = {}
     determined = set()
     for d in range(num.cutoff + 1):
@@ -1196,9 +1345,12 @@ def series_divide(num, den):
                 r2, s2 = rs[0] - r1, rs[1] - s1
                 if r2 >= 0 and s2 >= 0 and (r2, s2) in quo:
                     terms.append(-(c1 * quo[(r2, s2)]))
-            if terms:
-                total = RationalFunction.sum_of(terms)
-                if not total.is_zero():
-                    # later bidegrees are built from the cancelled forms
-                    quo[rs] = (total if lead.is_one() else total / lead).cancelled()
+            if not terms:
+                continue
+            # later bidegrees are built from the cancelled forms
+            total = RationalFunction.sum_of(terms, cancel=lead_is_one)
+            if not (lead_is_one or total.is_zero()):
+                total = (total / lead).cancelled()
+            if not total.is_zero():
+                quo[rs] = total
     return KahlerSeries(num.cutoff, quo, determined)

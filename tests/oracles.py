@@ -12,9 +12,11 @@ square graph's gluing sum in its former form, which sums the fiber legs
 color by color from the blocks at every internal leg, is the reference
 for the factored one, and its former fiber sum, which sums both fiber
 legs from the Schur values at every pair of base edges, the reference for
-the closed fiber kernel.  The gluing sum builds its blocks from the
-leg-general vertex below, a fiber leg at every block, which the program
-keeps only at empty legs.  Rational-function equality in its former form,
+the closed fiber kernel.  The running sums along the chains e + k m
+(`_divide_one_minus`), which once divided every value exactly by a step
+1 - m, are the reference for the packed exact division.  The gluing sum
+builds its blocks from the leg-general vertex below, a fiber leg at every
+block, which the program keeps only at empty legs.  Rational-function equality in its former form,
 cross multiplication after cancelling shared factors, is the reference for
 the zero test of the difference.
 """
@@ -25,7 +27,8 @@ from rp3vertex.amplitude import (_color_monomial, _framing, _mono, _p_at_rho, _s
                                   _tilde_z)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
-                            QSeries, RationalFunction, _splits, canonical_series)
+                            QSeries, RationalFunction, _divide_one_minus, _splits,
+                            canonical_series)
 
 
 def hook(nu, i, j):
@@ -119,6 +122,22 @@ def reference_rf_equal(a, b):
 def one_minus(m):
     """The step 1 - m as a Laurent polynomial."""
     return Laurent({(0, 0): 1, m: -1})
+
+
+def chain_cancelled(num, factors):
+    """num divided by each step 1 - m of factors, (m, k) pairs in order, as
+    often as `_divide_one_minus` divides it exactly, up to k: the reference
+    for the packed division.  Returns the quotient and the k left of each
+    m."""
+    left = {}
+    for m, k in factors:
+        while k:
+            quo = _divide_one_minus(num.terms, m)
+            if quo is None:
+                break
+            num, k = quo, k - 1
+        left[m] = k
+    return num, left
 
 
 def series_multiply(a, b):

@@ -6,10 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import one_minus, reference_expand, reference_rf_equal, series_multiply
+from oracles import (chain_cancelled, one_minus, reference_expand, reference_rf_equal,
+                     series_multiply)
 from rp3vertex import ring
 from rp3vertex.ring import (_MUL_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
                             Laurent, QSeries, RationalFunction, _divide_one_minus,
@@ -669,11 +670,17 @@ def test_compute_sums_match_the_naive_sum(monkeypatch):
 
     sums = []
 
-    def checked(items, steps):
-        got = _lift_sum(items, steps)
-        assert got.terms == naive_lift(items, steps).terms
-        sums.append(len(got.terms))
-        return got
+    def checked(items, steps, cancel=None):
+        want = naive_lift(items, steps)
+        if cancel is None:
+            got = _lift_sum(items, steps)
+            assert got.terms == want.terms
+        else:
+            # series_divide cancels each sum on its packed integer
+            got, left = _lift_sum(items, steps, cancel)
+            assert (got, left) == chain_cancelled(want, cancel) if want else not got
+        sums.append(len(want.terms))
+        return got if cancel is None else (got, left)
 
     monkeypatch.setattr(ring, "_lift_sum", checked)
     for module in (amplitude, partitions, specialize, vertex):
@@ -687,6 +694,121 @@ def test_compute_sums_match_the_naive_sum(monkeypatch):
     normalized_amplitude(spec)
     open_amplitude(spec)
     assert len(sums) > 100
+
+
+# -- the packed exact division ------------------------------------------------
+
+# steps of every kind, and t^(1/2), one slot apart in every box: a numerator
+# whose coefficients sum to zero, but not along each q row, then makes one
+# chain across the row ends, which only the padding columns tell apart
+DIVISION_STEPS = st.one_of(st.just((0, 1)), *STEPS.values())
+# 8 (1 - t^4)(1 - q) = (1 - t) Q has 1-norm 32, so one-byte slots (32 <
+# 2^6); |Q|_1 = 64 is not below 2^6, so the failing try of 1 - q^2 on Q
+# proves nothing until the slots are widened
+WIDENING = (Laurent({(0, 0): 8, (0, 8): -8, (2, 0): -8, (2, 8): 8}), (((0, 2), 1), ((4, 0), 1)))
+# (1 - q)^2 P, P = sum_j j (16 - j) q^j, has 1-norm 60, so one-byte slots,
+# but P's coefficient 64 needs two: the second division succeeds only on
+# widened slots
+PARABOLA = (Laurent({(2 * j, 0): j * (16 - j) for j in range(17)}) * one_minus((2, 0)) ** 2,
+            (((2, 0), 2),))
+# q^0 t^(3/2) - q t^0 sums to zero; its two terms are one slot apart on the
+# slot line of 1 - t^(1/2) without the padding column, so packed it is
+# (1 - x)(1 + x) x^3 and would seem to divide
+WRAP = (Laurent({(0, 3): 1, (2, 0): -1}), (((0, 1), 1),))
+
+
+@st.composite
+def division_cases(draw):
+    """(num, factors) for `cancelled`: a cofactor with small, wide or
+    fraction coefficients times each step to a power up to one above its
+    multiplicity, and maybe plus a numerator whose coefficients sum to
+    zero."""
+    ms = draw(st.lists(DIVISION_STEPS, min_size=1, max_size=3, unique=True))
+    factors = tuple(sorted((m, draw(st.integers(1, 3))) for m in ms))
+    num = Laurent(draw(st.dictionaries(EXPONENTS, LIFT_COEFFS, min_size=1, max_size=6)))
+    for m, k in factors:
+        num = num * one_minus(m) ** draw(st.integers(0, k + 1))
+    if draw(st.booleans()):
+        extra = draw(LAURENTS)
+        num = num + extra - Laurent.monomial(*draw(EXPONENTS), sum(extra.terms.values()))
+    assume(num)
+    return num, factors
+
+
+@settings(deadline=None, max_examples=400)
+@given(division_cases())
+@example(WRAP)
+@example(WIDENING)
+@example(PARABOLA)
+# a backward step, to the power 2, with fraction coefficients
+@example((Laurent({(0, 0): Fraction(1, 3), (1, 1): 2}) * one_minus((-2, 4)) ** 2,
+          (((-2, 4), 3),)))
+def test_packed_division_matches_the_chains(case):
+    num, factors = case
+    rf = RationalFunction._make(num, dict(factors))
+    want, left = chain_cancelled(num, rf.factors)
+    got = rf.cancelled()
+    assert got.num.terms == want.terms
+    assert got.factors == tuple((m, k) for m, k in sorted(left.items()) if k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(lift_cases(), st.data())
+def test_lift_and_division_match_the_chains(case, data):
+    # the sum lifted and divided on one packed integer, as series_divide
+    # does, by its steps and maybe t^(1/2)
+    items, steps = case
+    ms = steps + data.draw(st.lists(st.just((0, 1)), max_size=1))
+    cancel = sorted({m: data.draw(st.integers(1, 4)) for m in ms}.items())
+    want = naive_lift(items, steps)
+    got, left = _lift_sum(items, steps, cancel)
+    if want:
+        assert (got, left) == chain_cancelled(want, cancel)
+    else:
+        assert got == want
+
+
+def test_division_widens_its_slots(monkeypatch):
+    sizes = []
+
+    def pack(polys, box, size):
+        sizes.append(size)
+        return _pack(polys, box, size)
+
+    monkeypatch.setattr(ring, "_pack", pack)
+    num, factors = WIDENING
+    got = RationalFunction._make(num, dict(factors)).cancelled()
+    assert sizes == [1, 2]
+    assert got.num == Laurent({(0, 2 * i): 8 for i in range(4)}) * one_minus((2, 0))
+    assert got.factors == (((4, 0), 1),)
+    sizes.clear()
+    num, factors = PARABOLA
+    got = RationalFunction._make(num, dict(factors)).cancelled()
+    assert sizes == [1, 2]
+    assert got.num == Laurent({(2 * j, 0): j * (16 - j) for j in range(1, 16)})
+    assert got.factors == ()
+
+
+def test_map_turns_steps_as_the_former_split():
+    # each step 1 - m goes to 1 - fn(m), turned around below 1, as the
+    # former route through `_over`, which splits fn(1 - m) into its steps
+    from rp3vertex.partitions import enumerate_up_to
+    from rp3vertex.specialize import macdonald_p_at_rho, macdonald_tilde_z
+    from rp3vertex.vertex import framing_refined
+
+    values = [f(nu) for nu in enumerate_up_to(6)
+              for f in (macdonald_p_at_rho, macdonald_tilde_z, framing_refined,
+                        lambda nu: RF_ONE / macdonald_tilde_z(nu, "q"))]
+    values.append(q / ((1 - qh * th) * (1 - q / t ** 2)))
+    for rf in values:
+        for fn in (Laurent.substitute_t_eq_q, Laurent.swap_qt):
+            got = rf._map(fn)
+            want = RationalFunction._over(
+                fn(rf.num), [(fn(one_minus(m)), k) for m, k in rf.factors], {})
+            assert got.num.terms == want.num.terms
+            assert got.factors == want.factors
+    with pytest.raises(ZeroDivisionError):
+        (RF_ONE / (1 - q / t)).substitute_t_eq_q()
 
 
 def test_substitute_t_eq_q_examples():
