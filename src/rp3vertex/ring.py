@@ -6,15 +6,18 @@ Exponents are stored doubled so every exponent is an integer.  Every
 denominator the engine builds is a product of steps 1 - m, m = q^a t^b
 (hook products, geometric tails, Macdonald factors), and a rational
 function is stored in that one format: num / prod (1 - m)^k, the
-denominator a sorted tuple of (m, k) pairs.  `RationalFunction._over`,
-which normalizes every polynomial a value is divided by, splits it into
-its steps and refuses one that is no such product.  Rational functions
-never run a polynomial gcd: sums take step-wise least common multiples,
-and two values are equal when their difference is zero, a sum that lifts
-both numerators to the LCM of the two denominators; the expanded
-denominator `den` is built by the same lifting.  A sum applies each LCM
-step its terms miss once per group of terms that need it equally often,
-to their partial sum, not to every term's numerator on its own.  Every
+denominator a sorted tuple of (m, k) pairs.  Every stored m = (a, b) lies
+above (0, 0) in lexicographic order, a > 0, or a = 0 and b > 0: that is
+the slot order of the packed kernels below, so every step is a shift
+towards higher slots.  `RationalFunction._over`, which normalizes every
+polynomial a value is divided by, splits it into its steps and refuses
+one that is no such product.  Rational functions never run a polynomial
+gcd: sums take step-wise least common multiples, and two values are equal
+when their difference is zero, a sum that lifts both numerators to the
+LCM of the two denominators; the expanded denominator `den` is built by
+the same lifting.  A sum applies each LCM step its terms miss once per
+group of terms that need it equally often, to their partial sum, not to
+every term's numerator on its own.  Every
 sum does that on packed integers (Kronecker substitution): the numerators
 that need the same steps become one Python integer with a fixed-width
 slot per lattice point of a box that holds every partial sum, a step
@@ -35,9 +38,8 @@ an order, runs along the chains e + k m on dicts (`_divide_one_minus`):
 in `_one_minus_steps`, which splits a divisor polynomial of a few terms
 into its steps, each the least term of the last quotient, where packing
 every division of a few terms made `check --suite all` about 4% slower;
-and in `expand`, which expands in q only and takes the denominators
-whose steps have a >= 0, where a packed series won only 5 of 12
-alternating `check --suite all` pairs.
+and in `expand`, which expands in q only, where a packed series won only
+5 of 12 alternating `check --suite all` pairs.
 """
 
 import sys
@@ -227,8 +229,8 @@ class Laurent:
         return (e[0] + e[1], e[0], e[1])
 
     def min_term(self):
-        """(exponent, coeff) of the graded-lex minimal term."""
-        e = min(self.terms, key=Laurent._term_key)
+        """(exponent, coeff) of the lexicographically least term."""
+        e = min(self.terms)
         return e, self.terms[e]
 
     def min_q_exp(self):
@@ -240,8 +242,9 @@ class Laurent:
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
         (eq, et), c = self.min_term()
-        unit = Laurent({(a - eq, b - et): Fraction(v, 1) / c if c != 1 else v
-                        for (a, b), v in self.terms.items()})
+        unit = self.shift(-eq, -et)
+        if c != 1:
+            unit = _divided(unit, c)
         return c, (eq, et), unit
 
     def substitute_t_eq_q(self):
@@ -320,6 +323,13 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
+def _divided(poly, c):
+    """poly with every coefficient divided by c; a quotient that is an
+    integer is an int, so that values stay on the kernels for integer
+    coefficients."""
+    return Laurent._of({e: _tighten(Fraction(v) / c) for e, v in poly.terms.items()})
+
+
 def _one_minus(m):
     """The step 1 - m as a Laurent polynomial."""
     return Laurent._of({(0, 0): 1, m: -1})
@@ -368,14 +378,14 @@ def _divide_one_minus(terms, m, last=None):
 
 def _one_minus_steps(f):
     """The m of each 1 - m whose product is the factor f, or None when f is
-    no such product.  Each step divides f exactly by 1 - m for its
-    graded-lex least non-constant term m: f is normalized, so in a product
-    of factors 1 - m_i every m_i lies above 1 in that order, and the least
+    no such product.  Each step divides f exactly by 1 - m for its least
+    non-constant term m: f is normalized, so in a product of factors 1 -
+    m_i every m_i lies above (0, 0) in lexicographic order, and the least
     m_i is the least non-constant term of the product."""
     steps = []
     terms = f.terms
     while len(terms) > 1:
-        m = min((e for e in terms if e != (0, 0)), key=Laurent._term_key)
+        m = min(e for e in terms if e != (0, 0))
         quo = _divide_one_minus(terms, m)
         if quo is None:
             return None
@@ -423,12 +433,8 @@ def _lift_sum(items, steps, cancel=None):
     those integers are lifted and combined by `_horner`.  Given `cancel`,
     (m, k) pairs sorted by m, the packed sum is then divided exactly by each
     step 1 - m as often as it divides, up to k (`_cancel_packed`), and the
-    quotient is returned with a dict of the k left of each m.
-
-    A backward step m = q^a t^b, a < 0 or a = 0 and b < 0, would shift slots
-    down, so it is turned around first: (1 - m)^k = (-m)^k (1 - 1/m)^k, so
-    each item is multiplied by (-m)^need for every backward m, and 1/m is
-    lifted instead.  Then every step has a > 0, or a = 0 and b > 0.
+    quotient is returned with a dict of the k left of each m.  Every step
+    m = q^a t^b lies above (0, 0): a > 0, or a = 0 and b > 0.
 
     Every exponent the sum reaches, in every Horner partial sum too, is an
     exponent of an item num_i plus at most need_ij times each step m_j.  So
@@ -453,17 +459,6 @@ def _lift_sum(items, steps, cancel=None):
     too, each row gets padding columns after its data columns, as many as
     the largest t-reach |b|/g_t of those steps, and W two more bits than S
     needs (see `_cancel_packed`)."""
-    if steps and min(steps) < (0, 0):
-        turned = []
-        for num, nd in items:
-            dq = dt = k = 0
-            for n, (a, b) in zip(nd, steps):
-                if (a, b) < (0, 0):
-                    dq, dt, k = dq + n * a, dt + n * b, k + n
-            num = num.shift(dq, dt)
-            turned.append((-num if k % 2 else num, nd))
-        items = turned
-        steps = [(-a, -b) if (a, b) < (0, 0) else (a, b) for a, b in steps]
     groups = {}
     for num, nd in items:
         groups.setdefault(tuple(nd), []).append(num.terms)
@@ -489,11 +484,10 @@ def _lift_sum(items, steps, cancel=None):
         ints = [(Laurent._of({e: int(c * den) for e, c in num.terms.items()}), nd)
                 for num, nd in items]
         if cancel is None:
-            return _lift_sum(ints, steps).scale(Fraction(1, den))
+            return _divided(_lift_sum(ints, steps), den)
         quo, left = _lift_sum(ints, steps, cancel)
-        return quo.scale(Fraction(1, den)), left
-    # the steps to cancel, each turned to shift slots up
-    divisors = [m if m > (0, 0) else (-m[0], -m[1]) for m, _k in cancel or ()]
+        return _divided(quo, den), left
+    divisors = [m for m, _k in cancel or ()]
     q0, t0 = min(qs), min(ts)
     g_q = gcd(*up_q, *(a for a, _b in divisors), *map(sub, qs, repeat(q0))) or 1
     g_t = gcd(*down_t, *up_t, *(b for _a, b in divisors), *map(sub, ts, repeat(t0))) or 1
@@ -521,12 +515,11 @@ def _cancel_packed(total, box, size, pad, cancel, bound):
     the t-reach |b|/g_t of every step, where N is zero; bound >= |N|_1, and
     |N|_1 < 2^(W-2) for the slot width W = 8 size.
 
-    A backward step m (a < 0, or a = 0 and b < 0) is turned around, N / (1 -
-    m) = -(1/m) N / (1 - 1/m), the sign and the monomial kept aside until
-    the quotient is decoded, so every divisor is 1 - x^s with s > 0 slots.
-    The exact quotient Q, where there is one, is a running sum along the
-    chains e + k m of N, so its support lies in N's (in its t-range, off
-    the padding), and each of its coefficients is at most |N|_1.
+    Every step m lies above (0, 0), so every divisor is 1 - x^s with s > 0
+    slots.  The exact quotient Q, where there is one, is a running sum
+    along the chains e + k m of N, so its support lies in N's (in its
+    t-range, off the padding), and each of its coefficients is at most
+    |N|_1.
 
     A try: N(1, 1) = 0, else no step divides (1 - m vanishes there); the
     packed N is congruent to the sum of its slots modulo 2^W - 1, so a
@@ -550,11 +543,9 @@ def _cancel_packed(total, box, size, pad, cancel, bound):
     n_slots = n_q * n_t
     terms = None    # N decoded, while known
     checks = None
-    off_q = off_t = 0
-    negate = False
     left = {}
     for m, k in cancel:
-        a, b = m if m > (0, 0) else (-m[0], -m[1])
+        a, b = m
         while k and total and _sums_to_zero(total, 8 * size):
             width = 8 * size
             shift = (a // g_q * n_t + b // g_t) * width
@@ -570,8 +561,6 @@ def _cancel_packed(total, box, size, pad, cancel, bound):
                 quo = acc - bias
                 if quo - (quo << shift) == total:
                     total, terms, bound = quo, None, None
-                    if m < (0, 0):
-                        off_q, off_t, negate = off_q + a, off_t + b, not negate
                     k -= 1
                     continue
             if bound is None:
@@ -583,9 +572,8 @@ def _cancel_packed(total, box, size, pad, cancel, bound):
             total, checks = _pack([terms], box, size), None
         left[m] = k
     if terms is None:
-        terms = _unpack(total, box, size).terms
-    quo = Laurent._of(terms).shift(off_q, off_t)
-    return (-quo if negate else quo), left
+        return _unpack(total, box, size), left
+    return Laurent._of(terms), left
 
 
 def _sums_to_zero(x, width):
@@ -749,8 +737,8 @@ class RationalFunction:
     """num / prod (1 - m)^k, exact and never gcd-reduced.
 
     factors holds the (m, k) pairs, sorted by m: each m is a doubled
-    exponent pair (a, b) of q^(a/2) t^(b/2) above 1 in graded-lex order,
-    and each k is positive."""
+    exponent pair (a, b) of q^(a/2) t^(b/2) above (0, 0) in lexicographic
+    order, a > 0, or a = 0 and b > 0, and each k is positive."""
 
     __slots__ = ("num", "factors")
 
@@ -762,7 +750,7 @@ class RationalFunction:
             return
         if isinstance(den, (int, Fraction)):
             den = Laurent.const(den)
-        rf = RationalFunction._over(num, ((den, 1),), {})
+        rf = RationalFunction._over(num, den, {})
         self._init(rf.num, rf.factors)
 
     def _init(self, num, factors):
@@ -783,29 +771,23 @@ class RationalFunction:
         return rf
 
     @staticmethod
-    def _over(num, divisors, bag):
-        """num / (the steps in bag * each polynomial ** multiplicity of
-        divisors): each divisor's content and monomial fold into num, and the
-        steps of its unit factor join bag (updated in place).  A ValueError
-        when a unit factor is no product of steps 1 - m."""
-        scale = Fraction(1)
-        shift_q = shift_t = 0
-        for poly, mult in divisors:
-            if poly.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            c, (eq, et), unit = poly.normalized()
-            steps = _one_minus_steps(unit)
-            if steps is None:
-                raise ValueError(f"denominator factor {unit.text()} is not a product "
-                                 "of factors 1 - q^a t^b")
-            scale *= Fraction(c) ** mult
-            shift_q += eq * mult
-            shift_t += et * mult
-            for m in steps:
-                bag[m] = bag.get(m, 0) + mult
-        num = num.shift(-shift_q, -shift_t)
-        if scale != 1:
-            num = num.scale(1 / scale)
+    def _over(num, poly, bag):
+        """num / (poly * the steps in bag): poly's content and monomial fold
+        into num, and the steps of its unit factor join bag (updated in
+        place).  A ValueError when the unit factor is no product of steps 1 -
+        m."""
+        if poly.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        c, (eq, et), unit = poly.normalized()
+        steps = _one_minus_steps(unit)
+        if steps is None:
+            raise ValueError(f"denominator factor {unit.text()} is not a product "
+                             "of factors 1 - q^a t^b")
+        for m in steps:
+            bag[m] = bag.get(m, 0) + 1
+        num = num.shift(-eq, -et)
+        if c != 1:
+            num = _divided(num, c)
         return RationalFunction._make(num, bag)
 
     # -- constructors ------------------------------------------------------
@@ -874,8 +856,7 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         if self.is_zero():
             return RF_ZERO
-        return RationalFunction._over(self.num * other.den, ((other.num, 1),),
-                                      dict(self.factors))
+        return RationalFunction._over(self.num * other.den, other.num, dict(self.factors))
 
     def __rtruediv__(self, other):
         return RationalFunction.of(other) / self
@@ -951,8 +932,9 @@ class RationalFunction:
     def _map(self, fn):
         """The value under fn, a substitution of monomials for monomials
         that is a ring homomorphism: each step 1 - m goes to 1 - fn(m), and
-        one below 1 is turned around, 1 - m' = -m' (1 - 1/m'), its -m' folded
-        into the numerator."""
+        one with fn(m) below (0, 0) is turned around, 1 - m' = -m' (1 -
+        1/m'), its -m' folded into the numerator, so that every step stays
+        above (0, 0)."""
         num = fn(self.num)
         bag = {}
         sign = 1
@@ -960,7 +942,7 @@ class RationalFunction:
             (a, b), = fn(Laurent._of({m: 1})).terms
             if (a, b) == (0, 0):
                 raise ZeroDivisionError("zero denominator")
-            if Laurent._term_key((a, b)) < (0, 0, 0):
+            if (a, b) < (0, 0):
                 num = num.shift(-a * k, -b * k)
                 sign *= (-1) ** k
                 a, b = -a, -b
@@ -1129,10 +1111,10 @@ def expand(rf, q_order):
     """Series expansion of a rational function in q to the given order
     (plain, undoubled power of q).
 
-    Every denominator step 1 - q^a t^b must have a >= 0.  Steps with a > 0
-    are inverted as power series cut at the order; steps with a = 0, pure
-    in t, must then divide the series exactly.  Raises ExpansionError when
-    a step has a < 0 or a pure step does not divide.
+    Every denominator step 1 - q^a t^b has a > 0, or a = 0 and b > 0.
+    Steps with a > 0 are inverted as power series cut at the order; steps
+    with a = 0, pure in t, must then divide the series exactly.  Raises
+    ExpansionError when a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
     if rf.is_zero():
@@ -1141,9 +1123,6 @@ def expand(rf, q_order):
     geom = []   # steps m with a positive q-exponent
     pure = []   # steps m in t alone
     for m, k in rf.factors:
-        if m[0] < 0:
-            raise ExpansionError(
-                f"denominator factor {_one_minus(m).text()} has a step 1 - q^a t^b with a < 0")
         (geom if m[0] else pure).extend([m] * k)
 
     last = rf.num.min_q_exp() + 2 * q_order

@@ -133,6 +133,32 @@ def test_rf_division_by_zero():
         RationalFunction(Laurent.const(1), Laurent())
 
 
+def test_division_keeps_integer_coefficients_ints():
+    # a divisor whose least term is not 1 scales the numerator: q - 1 and
+    # 1 - q^-1 t^2 (least term -q^-1 t^2) by -1, 2 - 2q by 1/2; a
+    # coefficient that stays integral stays an int, so that the value stays
+    # on the kernels for integer coefficients
+    for value, terms, factors in (
+            ((1 + q) / (q - 1), {(0, 0): -1, (2, 0): -1}, (((2, 0), 1),)),
+            (RationalFunction((1 + q).num, (q - 1).num), {(0, 0): -1, (2, 0): -1},
+             (((2, 0), 1),)),
+            (1 / (1 - t * t / q), {(2, -4): -1}, (((2, -4), 1),)),
+            ((2 + 4 * q) / (2 - 2 * q), {(0, 0): 1, (2, 0): 2}, (((2, 0), 1),))):
+        assert value.num.terms == terms and value.factors == factors
+        assert all(type(c) is int for c in value.num.terms.values())
+    c, e, unit = Laurent({(0, 0): -2, (2, 0): 2}).normalized()
+    assert (c, e, unit.terms) == (-2, (0, 0), {(0, 0): 1, (2, 0): -1})
+    assert all(type(v) is int for v in unit.terms.values())
+    # a sum of fraction coefficients is lifted on integers scaled by the lcm
+    # of their denominators and scaled back: a coefficient that comes back
+    # integral is an int
+    half = Fraction(1, 2)
+    for got in (RationalFunction.sum_of([half * q, half * q / (1 - q)]),
+                RationalFunction.sum_of([half * q, half * q / (1 - q)], cancel=True)):
+        assert got.num.terms == {(2, 0): 1, (4, 0): -half}
+        assert type(got.num.terms[2, 0]) is int
+
+
 def test_rf_field_axioms_via_evaluation():
     # evaluation at random rational points is the independent oracle
     rng = random.Random(99)
@@ -199,8 +225,8 @@ EXPONENTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 LAURENTS = st.dictionaries(EXPONENTS, COEFFS, max_size=6).map(Laurent)
 
 # the steps 1 - q^a t^b denominators are built from, half-integer and
-# mixed-sign exponents included, and q^-1 t^2, which the lifting turns
-# around (see `_lift_sum`)
+# mixed-sign exponents included, and 1 - q^-1 t^2, which the constructor
+# stores turned around, as -q^-1 t^2 (1 - q t^-2)
 FACTOR_POLYS = [one_minus(e)
                 for e in [(2, 0), (0, 2), (2, 2), (4, 0), (1, 1), (2, -2), (6, 4), (-2, 4)]]
 
@@ -245,7 +271,8 @@ def rf_value_lists(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(rf_value_lists())
-# a backward step and fraction coefficients (see the test below)
+# a step the constructor turns around, and fraction coefficients (see the
+# test below)
 @example([(Fraction(1, 2) + q) / (1 - t * t / q), q * q / (3 - 3 * q)])
 def test_sum_of_same_representation_as_reference(values):
     got = RationalFunction.sum_of(values)
@@ -256,11 +283,16 @@ def test_sum_of_same_representation_as_reference(values):
 
 
 def test_sum_over_a_backward_step_by_hand():
-    # (1/2 + q)/(1 - q^-1 t^2) + (q^2/3)/(1 - q)
-    got = (Fraction(1, 2) + q) / (1 - t * t / q) + q * q / (3 - 3 * q)
-    assert got.num.terms == {(0, 0): Fraction(1, 2), (2, 0): Fraction(1, 2),
-                             (4, 0): Fraction(-2, 3), (2, 4): Fraction(-1, 3)}
-    assert got.factors == (((-2, 4), 1), ((2, 0), 1))
+    # (1/2 + q)/(1 - q^-1 t^2) + (q^2/3)/(1 - q): the first denominator is
+    # stored as -q^-1 t^2 (1 - q t^-2), so the first term as
+    # -(1/2 + q) q t^-2 / (1 - q t^-2)
+    first = (Fraction(1, 2) + q) / (1 - t * t / q)
+    assert first.num.terms == {(2, -4): Fraction(-1, 2), (4, -4): -1}
+    assert first.factors == (((2, -4), 1),)
+    got = first + q * q / (3 - 3 * q)
+    assert got.num.terms == {(2, -4): Fraction(-1, 2), (4, -4): Fraction(-1, 2),
+                             (6, -4): Fraction(2, 3), (4, 0): Fraction(1, 3)}
+    assert got.factors == (((2, -4), 1), ((2, 0), 1))
 
 
 def same_representation(a, b):
@@ -345,13 +377,15 @@ def test_den_is_the_product_of_the_factor_powers(rf, n):
         assert value.den.terms == want.terms
 
 
-# steps above 1 in graded-lex order, as a denominator stores them
-ABOVE_ONE = EXPONENTS.filter(lambda e: (e[0] + e[1], e[0]) > (0, 0))
+# steps above (0, 0) in lexicographic order, as a denominator stores them
+ABOVE_ONE = EXPONENTS.filter(lambda e: e > (0, 0))
 
 
 @settings(deadline=None, max_examples=100)
 @given(LAURENTS.filter(bool), st.lists(ABOVE_ONE, max_size=5))
 @example(Laurent.const(1), [(2, 0), (0, 2), (2, 0), (3, -2)])
+# steps below 1 in total degree
+@example(Laurent.const(1), [(2, -4), (1, -2), (0, 1), (2, -4)])
 def test_an_expanded_den_splits_into_its_steps(num, steps):
     den = Laurent.const(1)
     by_step = RationalFunction(num)
@@ -362,6 +396,39 @@ def test_an_expanded_den_splits_into_its_steps(num, steps):
     assert rf.factors == tuple(sorted(Counter(steps).items()))
     assert rf.den == den
     assert rf == by_step
+
+
+@st.composite
+def divisor_polys(draw):
+    """c q^a t^b times up to three steps 1 - m, each m above or below
+    (0, 0), as one polynomial: what a value may be divided by."""
+    poly = Laurent.monomial(*draw(EXPONENTS), draw(COEFFS.filter(bool)))
+    for m in draw(st.lists(EXPONENTS.filter(lambda e: e != (0, 0)), max_size=3)):
+        poly = poly * one_minus(m)
+    return poly
+
+
+@settings(deadline=None, max_examples=200)
+@given(LAURENTS, divisor_polys(), LAURENTS, divisor_polys(), divisor_polys())
+@example(Laurent.const(1), one_minus((-2, 4)), Laurent.const(3), one_minus((0, -2)),
+         Laurent.monomial(1, -1, -1) * one_minus((-1, 1)))
+def test_public_values_store_only_steps_above_zero(num_a, den_a, num_b, den_b, poly):
+    # the packed kernels shift every step towards higher slots: no value the
+    # public API builds stores a step m <= (0, 0)
+    a, b, d = (RationalFunction(num_a, den_a), RationalFunction(num_b, den_b),
+               RationalFunction(poly, den_b))
+    values = [a, b, d, a * b, a / d, a ** 2, (a * d).cancelled(),
+              RationalFunction.sum_of([a, b, d]), RationalFunction.sum_of([a, d], cancel=True)]
+    for value in list(values):
+        for mapped in (value.swap_qt, value.substitute_t_eq_q):
+            try:
+                values.append(mapped())
+            except ZeroDivisionError:
+                pass    # t = q sends a step q^a t^-a to 1 - 1
+    z = KahlerSeries(1, {(0, 0): a, (1, 0): b, (0, 1): d})
+    values += KahlerSeries.from_json(json.loads(json.dumps(z.to_json()))).coeffs.values()
+    for value in values:
+        assert all(m > (0, 0) and k > 0 for m, k in value.factors)
 
 
 def test_sum_of_many_distinct_factors():
@@ -412,15 +479,24 @@ def _digest_points():
 
 DIGEST_POINTS = _digest_points()
 
-# steps m = q^a t^b of the factor 1 - m, by the case of the chain key they hit
+# steps m = q^a t^b of the factor 1 - m, each above (0, 0) as a
+# denominator stores it, by the case of the chain key and slot shift they hit
 STEPS = {
-    "negative_a": st.tuples(st.integers(-4, -1), st.integers(-4, 6)),
-    "zero_a": st.tuples(st.just(0), st.integers(-4, 4).filter(bool)),
-    "non_primitive": st.tuples(EXPONENTS.filter(lambda e: e != (0, 0)),
-                               st.integers(2, 3)).map(
-                                   lambda mg: (mg[0][0] * mg[1], mg[0][1] * mg[1])),
-    "any": EXPONENTS.filter(lambda e: e != (0, 0)),
+    "negative_b": st.tuples(st.integers(1, 4), st.integers(-6, -1)),
+    "zero_a": st.tuples(st.just(0), st.integers(1, 4)),
+    "non_primitive": st.tuples(ABOVE_ONE, st.integers(2, 3)).map(
+        lambda mg: (mg[0][0] * mg[1], mg[0][1] * mg[1])),
+    "any": ABOVE_ONE,
 }
+
+
+def backward_form(num, m, k):
+    """num / (1 - m)^k built through the constructor from the backward step
+    1 - 1/m: (1 - 1/m)^k = (-1/m)^k (1 - m)^k, so the value is (-1/m)^k num
+    over (1 - 1/m)^k."""
+    a, b = m
+    return RationalFunction(num.shift(-k * a, -k * b).scale((-1) ** k),
+                            one_minus((-a, -b)) ** k)
 
 
 def assert_same_value(got, rf):
@@ -452,8 +528,10 @@ def test_cancel_gives_back_the_cofactor(kind, data):
     m = data.draw(STEPS[kind])
     p = draw_cofactor(data, m)
     f = one_minus(m)
-    # as stored, and as the constructor normalizes it (1 - 1/m when m < 1)
-    for rf in (RationalFunction._make(p * f, {m: 1}), RationalFunction(p * f, f)):
+    # as stored, and as the constructor normalizes it from 1 - m and from
+    # the backward 1 - 1/m
+    for rf in (RationalFunction._make(p * f, {m: 1}), RationalFunction(p * f, f),
+               backward_form(p * f, m, 1)):
         got = rf.cancelled()
         assert got.num.terms == p.terms
         assert got.factors == ()
@@ -465,13 +543,12 @@ def test_cancel_gives_back_the_cofactor(kind, data):
 @given(data=st.data())
 def test_cancel_keeps_a_factor_that_does_not_divide(kind, data):
     m = data.draw(STEPS[kind])
-    f = one_minus(m)
     num = draw_indivisible(data, m)
-    rf = RationalFunction._make(num, {m: 2})
-    got = rf.cancelled()
-    assert got.num.terms == num.terms
-    assert got.factors == ((m, 2),)
-    assert_same_value(got, rf)
+    for rf in (RationalFunction._make(num, {m: 2}), backward_form(num, m, 2)):
+        got = rf.cancelled()
+        assert got.num.terms == num.terms
+        assert got.factors == ((m, 2),)
+        assert_same_value(got, rf)
 
 
 @pytest.mark.parametrize("kind", sorted(STEPS))
@@ -482,11 +559,11 @@ def test_cancel_up_to_the_multiplicity(kind, data):
     f = one_minus(m)
     p = draw_indivisible(data, m)
     k, j = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
-    rf = RationalFunction._make(p * f ** k, {m: j})
-    got = rf.cancelled()
-    assert got.num.terms == (p * f ** max(k - j, 0)).terms
-    assert got.factors == (((m, j - k),) if j > k else ())
-    assert_same_value(got, rf)
+    for rf in (RationalFunction._make(p * f ** k, {m: j}), backward_form(p * f ** k, m, j)):
+        got = rf.cancelled()
+        assert got.num.terms == (p * f ** max(k - j, 0)).terms
+        assert got.factors == (((m, j - k),) if j > k else ())
+        assert_same_value(got, rf)
 
 
 @settings(deadline=None, max_examples=200)
@@ -521,11 +598,11 @@ def naive_lift(items, steps):
     return total
 
 
-# steps m = q^a t^b: forward ones (a > 0, or a = 0 and b > 0; half-integer,
-# mixed-sign and non-primitive too) and backward ones, which the lifting
-# turns around
+# steps m = q^a t^b as a denominator stores them, a > 0, or a = 0 and b >
+# 0: half-integer, mixed-sign (below 1 in total degree too) and
+# non-primitive ones
 LIFT_STEPS = [(2, 0), (0, 2), (2, 2), (1, 1), (2, -2), (4, -6), (0, 1), (1, 0),
-              (6, 4), (3, -1), (-2, 4), (-1, 3), (0, -2)]
+              (6, 4), (3, -1), (2, -4), (1, -3)]
 # small coefficients, and ones whose slots need more than eight bytes
 KERNEL_COEFFS = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
 # the same, or fractions, integral ones such as Fraction(7, 7) included
@@ -561,11 +638,12 @@ def assert_lift_is_naive(items, steps):
 @given(lift_cases())
 @example(([(Laurent({(1, 0): 1}), [2]), (Laurent({(0, 1): -1}), [2])], [(2, 0)]))
 @example(([(Laurent({(0, 0): 5}), [1]), (Laurent({(0, 0): -5}), [1])], [(0, 2)]))
-# an integral Fraction, a backward step, and both
+# an integral Fraction, a step below 1 in total degree, and a pure step
+# with an integral Fraction
 @example(([(Laurent({(0, 0): Fraction(7, 7)}), [2]), (Laurent({(2, 2): 3}), [0])], [(2, 0)]))
 @example(([(Laurent({(0, 0): 1, (2, 0): 2}), [2, 1]), (Laurent({(1, 1): -1}), [0, 3])],
-          [(-2, 4), (0, 2)]))
-@example(([(Laurent({(0, 0): Fraction(3, 3)}), [1])], [(0, -2)]))
+          [(2, -4), (0, 2)]))
+@example(([(Laurent({(0, 0): Fraction(3, 3)}), [1])], [(0, 2)]))
 def test_lift_matches_the_naive_sum(case):
     assert_lift_is_naive(*case)
 
@@ -648,17 +726,23 @@ def test_fraction_operands_take_the_dict_product():
 def test_former_decline_cases_lift_to_the_naive_sum():
     # the inputs the lifting once declined to pack, and lifted on dicts:
     # a coefficient that is no int, and steps with a negative slot shift
-    # (a < 0, or a = 0 and b < 0)
+    # (a < 0, or a = 0 and b < 0), which the constructor stores turned
+    # around, as 1 - q t^-2 and 1 - t
     big = [(Laurent({(x, 2 * y): x - y or 1 for x in range(30) for y in range(30)}), [3]),
            (Laurent({(1, 1): 2}), [0])]
     for items, steps in (
             ([(Laurent({(0, 0): Fraction(1, 2)}), [3])] + big, [(2, 0)]),
-            (big, [(-2, 4)]),
-            (big, [(0, -2)])):
+            (big, [(2, -4)]),
+            (big, [(0, 2)])):
         want = Laurent()
         for num, need in items:
             want = want + num * one_minus(steps[0]) ** need[0]
         assert _lift_sum(items, steps).terms == want.terms
+    for backward, m in (((-2, 4), (2, -4)), ((0, -2), (0, 2))):
+        values = [RationalFunction(num, one_minus(backward) ** need[0]) for num, need in big]
+        assert all(rf.factors in ((), ((m, 3),)) for rf in values)
+        got = RationalFunction.sum_of(values)
+        assert same_representation(got, reference_sum_of(values))
 
 
 def test_compute_sums_match_the_naive_sum(monkeypatch):
@@ -740,9 +824,10 @@ def division_cases(draw):
 @example(WRAP)
 @example(WIDENING)
 @example(PARABOLA)
-# a backward step, to the power 2, with fraction coefficients
-@example((Laurent({(0, 0): Fraction(1, 3), (1, 1): 2}) * one_minus((-2, 4)) ** 2,
-          (((-2, 4), 3),)))
+# 1 - q t^-2, as the constructor stores 1 - q^-1 t^2, to the power 2, with
+# fraction coefficients
+@example((Laurent({(0, 0): Fraction(1, 3), (1, 1): 2}) * one_minus((2, -4)) ** 2,
+          (((2, -4), 3),)))
 def test_packed_division_matches_the_chains(case):
     num, factors = case
     rf = RationalFunction._make(num, dict(factors))
@@ -790,8 +875,8 @@ def test_division_widens_its_slots(monkeypatch):
 
 
 def test_map_turns_steps_as_the_former_split():
-    # each step 1 - m goes to 1 - fn(m), turned around below 1, as the
-    # former route through `_over`, which splits fn(1 - m) into its steps
+    # each step 1 - m goes to 1 - fn(m), turned around below (0, 0), as the
+    # former route through `_over`, which splits fn(den) into its steps
     from rp3vertex.partitions import enumerate_up_to
     from rp3vertex.specialize import macdonald_p_at_rho, macdonald_tilde_z
     from rp3vertex.vertex import framing_refined
@@ -803,8 +888,7 @@ def test_map_turns_steps_as_the_former_split():
     for rf in values:
         for fn in (Laurent.substitute_t_eq_q, Laurent.swap_qt):
             got = rf._map(fn)
-            want = RationalFunction._over(
-                fn(rf.num), [(fn(one_minus(m)), k) for m, k in rf.factors], {})
+            want = RationalFunction._over(fn(rf.num), fn(rf.den), {})
             assert got.num.terms == want.num.terms
             assert got.factors == want.factors
     with pytest.raises(ZeroDivisionError):
@@ -912,11 +996,16 @@ def test_expand_multiplicativity():
     assert ran >= 20
 
 
-def test_expand_error_mixed_factor():
-    # the step 1 - q^-1 t^2 has a negative power of q
-    bad = RationalFunction(Laurent.const(1), one_minus((-2, 4)))
-    with pytest.raises(ExpansionError, match="with a < 0"):
-        expand(bad, 5)
+def test_expand_a_turned_backward_step():
+    # 1/(1 - q^-1 t^2) is stored as -q t^-2 / (1 - q t^-2), so it expands
+    # in q as -sum_{k >= 1} q^k t^-2k
+    value = RationalFunction(Laurent.const(1), one_minus((-2, 4)))
+    assert value.factors == (((2, -4), 1),)
+    ser = expand(value, 4)
+    assert ser.text() == "[-q*t^-10] * (t^8 + t^6*q + t^4*q^2 + t^2*q^3 + q^4)"
+    assert ser.prefactor == Laurent.monomial(2, -20, -1)
+    assert ser.coeffs == {2 * j: {16 - 4 * j: 1} for j in range(5)}
+    assert expansion(expand, value, 4) == expansion(reference_expand, value, 4)
 
 
 def test_expand_pure_t_division_error():
