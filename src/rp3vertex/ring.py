@@ -31,15 +31,12 @@ it, and is called only on the skew Schur leaves and in `series_divide`,
 which divides each quotient coefficient's sum on the packed integer its
 lifting built, before decoding it.
 
-The exact divisions of `cancelled` run on packed integers in one
-kernel, `_cancel_packed`, whose checks prove each quotient (see there).
-Every other division by a step 1 - m, exact or as a power series cut at
-an order, runs along the chains e + k m on dicts (`_divide_one_minus`):
-in `_one_minus_steps`, which splits a divisor polynomial of a few terms
-into its steps, each the least term of the last quotient, where packing
-every division of a few terms made `check --suite all` about 4% slower;
-and in `expand`, which expands in q only, where a packed series won only
-5 of 12 alternating `check --suite all` pairs.
+Every exact division by a step 1 - m runs on packed integers in one
+kernel, `_cancel_packed`, whose checks prove each quotient (see there):
+in `cancelled`, in `series_divide`, in `_one_minus_steps`, which splits a
+divisor polynomial into its steps, and in `expand` for the steps pure in
+t.  `expand` inverts every other step as a power series, multiplying by
+its binomial series cut at the order.
 """
 
 import sys
@@ -47,7 +44,7 @@ from array import array
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul, sub
 
 
@@ -202,7 +199,9 @@ class Laurent:
     def scale(self, c):
         if not c:
             return Laurent()
-        return Laurent({e: v * c for e, v in self.terms.items()})
+        # an integral product is an int, so that the value stays on the
+        # kernels for integer coefficients
+        return Laurent._of({e: _tighten(v * c) for e, v in self.terms.items()})
 
     def shift(self, eq, et):
         """Multiply by the monomial with doubled exponents (eq, et)."""
@@ -330,68 +329,32 @@ def _divided(poly, c):
     return Laurent._of({e: _tighten(Fraction(v) / c) for e, v in poly.terms.items()})
 
 
-def _one_minus(m):
-    """The step 1 - m as a Laurent polynomial."""
-    return Laurent._of({(0, 0): 1, m: -1})
-
-
-def _divide_one_minus(terms, m, last=None):
-    """terms / (1 - m) as a Laurent: exact, or None when 1 - m does not
-    divide; or, given `last`, the power series in m cut after doubled
-    q-exponent `last` (m must then have a positive q-exponent, and the
-    caller has dropped every term above `last`).
-
-    The terms lie on chains e + k*m; writing N = (1 - m) Q along one chain
-    gives n_k = q_k - q_(k-1), so Q is the running sum along each chain from
-    its first position on, gaps included.  1 - m divides exactly when every
-    chain's coefficients sum to zero, and the exact Q stops one before the
-    chain's last position; 1 - m vanishes at q^(1/2) = t^(1/2) = 1, so a
-    non-zero sum of all the terms rules it out before any chain is built.
-    The truncated Q runs on to the chain's last position at or below
-    `last`."""
-    if last is None and sum(terms.values()):
-        return None
-    a, b = m
-    chains = {}
-    for e, c in terms.items():
-        k = e[0] // a if a else e[1] // b
-        key = (e[0] - k * a, e[1] - k * b)
-        chain = chains.get(key)
-        if chain is None:
-            chains[key] = {k: c}
-        else:
-            chain[k] = c
-    if last is None:
-        for chain in chains.values():
-            if sum(chain.values()):
-                return None
-    out = {}
-    for (x0, y0), chain in chains.items():
-        stop = max(chain) if last is None else (last - x0) // a + 1
-        run = 0
-        for k in range(min(chain), stop):
-            run += chain.get(k, 0)
-            if run:
-                out[(x0 + k * a, y0 + k * b)] = run
-    return Laurent._of(out)
+def _step_text(m):
+    """The step 1 - m as text, 1 first whatever the degree of m."""
+    return f"1 - {Laurent._of({m: 1}).text()}"
 
 
 def _one_minus_steps(f):
-    """The m of each 1 - m whose product is the factor f, or None when f is
-    no such product.  Each step divides f exactly by 1 - m for its least
-    non-constant term m: f is normalized, so in a product of factors 1 -
-    m_i every m_i lies above (0, 0) in lexicographic order, and the least
-    m_i is the least non-constant term of the product."""
+    """The (m, k) pairs of the steps whose product prod (1 - m)^k is the
+    factor f, or None when f is no such product.  f is normalized, so in
+    such a product every m lies above (0, 0) in lexicographic order, and the
+    least non-constant term of f is the least m, with coefficient -k: every
+    sum of two or more steps lies higher.  So f is divided exactly by that
+    (1 - m)^k, once, and the quotient split in turn; dividing by 1 - m as
+    often as it divides would not do, since 1 - t divides 1 - t^2 too."""
     steps = []
-    terms = f.terms
-    while len(terms) > 1:
-        m = min(e for e in terms if e != (0, 0))
-        quo = _divide_one_minus(terms, m)
-        if quo is None:
+    while len(f.terms) > 1:
+        m = min(e for e in f.terms if e != (0, 0))
+        # by value, not type: a divisor may hold Fraction(-1, 1)
+        k = -f.terms[m]
+        if k <= 0 or k.denominator != 1:
             return None
-        steps.append(m)
-        terms = quo.terms
-    return steps if terms == {(0, 0): 1} else None
+        k = int(k)
+        f, left = _lift_sum([(f, ())], (), [(m, k)])
+        if left[m]:
+            return None
+        steps.append((m, k))
+    return steps
 
 
 def _horner(items, shifts, i):
@@ -517,7 +480,7 @@ def _cancel_packed(total, box, size, pad, cancel, bound):
 
     Every step m lies above (0, 0), so every divisor is 1 - x^s with s > 0
     slots.  The exact quotient Q, where there is one, is a running sum
-    along the chains e + k m of N, so its support lies in N's (in its
+    of N along each line e + j m, j >= 0, so its support lies in N's (in its
     t-range, off the padding), and each of its coefficients is at most
     |N|_1.
 
@@ -733,6 +696,16 @@ def _bias(n_slots, size):
     return int.from_bytes((bytes(size - 1) + b"\x80") * n_slots, "little")
 
 
+def _polynomial(value, what):
+    """value, an int, Fraction or Laurent, as a Laurent; a TypeError for
+    any other type, a RationalFunction too."""
+    if isinstance(value, (int, Fraction)):
+        return Laurent.const(value)
+    if not isinstance(value, Laurent):
+        raise TypeError(f"{what} is a {type(value).__name__}, not a Laurent polynomial")
+    return value
+
+
 class RationalFunction:
     """num / prod (1 - m)^k, exact and never gcd-reduced.
 
@@ -743,14 +716,11 @@ class RationalFunction:
     __slots__ = ("num", "factors")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Laurent.const(num)
+        num = _polynomial(num, "numerator")
         if den is None:
             self._init(num, ())
             return
-        if isinstance(den, (int, Fraction)):
-            den = Laurent.const(den)
-        rf = RationalFunction._over(num, den, {})
+        rf = RationalFunction._over(num, _polynomial(den, "denominator"), {})
         self._init(rf.num, rf.factors)
 
     def _init(self, num, factors):
@@ -783,8 +753,8 @@ class RationalFunction:
         if steps is None:
             raise ValueError(f"denominator factor {unit.text()} is not a product "
                              "of factors 1 - q^a t^b")
-        for m in steps:
-            bag[m] = bag.get(m, 0) + 1
+        for m, k in steps:
+            bag[m] = bag.get(m, 0) + k
         num = num.shift(-eq, -et)
         if c != 1:
             num = _divided(num, c)
@@ -973,7 +943,7 @@ class RationalFunction:
             return n
         dens = []
         for m, k in self.factors:
-            piece = f"({_one_minus(m).text()})"
+            piece = f"({_step_text(m)})"
             if k != 1:
                 piece += f"^{k}"
             dens.append(piece)
@@ -1111,35 +1081,39 @@ def expand(rf, q_order):
     """Series expansion of a rational function in q to the given order
     (plain, undoubled power of q).
 
-    Every denominator step 1 - q^a t^b has a > 0, or a = 0 and b > 0.
-    Steps with a > 0 are inverted as power series cut at the order; steps
-    with a = 0, pure in t, must then divide the series exactly.  Raises
+    Every denominator step 1 - q^a t^b has a > 0, or a = 0 and b > 0.  The
+    numerator is cut at the order, the steps with a = 0, pure in t, must
+    divide it exactly (`cancelled`), and it is multiplied by the series
+    1/(1 - m)^k = sum_n C(n + k - 1, k - 1) m^n of each other step, cut at
+    the order.  A pure step acts on each q row on its own, and the series of
+    every other step has 1 as its q^0 row, so a pure step divides the cut
+    numerator exactly when it divides the cut series.  Raises
     ExpansionError when a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
     if rf.is_zero():
         return QSeries(L_ONE, {}, 2 * q_order)
 
-    geom = []   # steps m with a positive q-exponent
-    pure = []   # steps m in t alone
-    for m, k in rf.factors:
-        (geom if m[0] else pure).extend([m] * k)
-
-    last = rf.num.min_q_exp() + 2 * q_order
-    terms = {e: c for e, c in rf.num.terms.items() if e[0] <= last}
-    for m in geom:
-        terms = _divide_one_minus(terms, m, last).terms
-    for m in pure:
-        quo = _divide_one_minus(terms, m)
-        if quo is None:
-            raise ExpansionError(
-                f"coefficient is not polynomial after dividing by {_one_minus(m).text()}")
-        terms = quo.terms
+    span = 2 * q_order
+    last = rf.num.min_q_exp() + span
+    num = Laurent._of({e: c for e, c in rf.num.terms.items() if e[0] <= last})
+    pure = {m: k for m, k in rf.factors if not m[0]}
+    if pure:
+        rest = RationalFunction._make(num, pure).cancelled()
+        if rest.factors:
+            raise ExpansionError("coefficient is not polynomial after dividing by "
+                                 f"{_step_text(rest.factors[0][0])}")
+        num = rest.num
+    for (a, b), k in rf.factors:
+        if a:
+            series = Laurent._of({(n * a, n * b): comb(n + k - 1, k - 1)
+                                  for n in range(span // a + 1)})
+            num = Laurent._of({e: c for e, c in (num * series).terms.items() if e[0] <= last})
 
     slices = {}
-    for (eq, et), c in terms.items():
+    for (eq, et), c in num.terms.items():
         slices.setdefault(eq, {})[et] = c
-    return canonical_series(slices, 2 * q_order)
+    return canonical_series(slices, span)
 
 
 def canonical_series(slices, order_doubled):
@@ -1177,7 +1151,7 @@ def _content(values):
 
 
 def _tighten(f):
-    f = Fraction(f)
+    """The int or Fraction f, an int when it is integral."""
     return f.numerator if f.denominator == 1 else f
 
 

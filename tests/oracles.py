@@ -13,8 +13,10 @@ color by color from the blocks at every internal leg, is the reference
 for the factored one, and its former fiber sum, which sums both fiber
 legs from the Schur values at every pair of base edges, the reference for
 the closed fiber kernel.  The running sums along the chains e + k m
-(`_divide_one_minus`), which once divided every value exactly by a step
-1 - m, are the reference for the packed exact division.  The gluing sum
+(`divide_one_minus`), which once divided every value exactly by a step
+1 - m, are the reference for the packed exact division, and the split of
+a divisor polynomial into its steps one least term at a time on them
+(`chain_steps`) the reference for the split by multiplicities.  The gluing sum
 builds its blocks from the leg-general vertex below, a fiber leg at every
 block, which the program keeps only at empty legs.  Rational-function equality in its former form,
 cross multiplication after cancelling shared factors, is the reference for
@@ -27,8 +29,7 @@ from rp3vertex.amplitude import (_color_monomial, _framing, _mono, _p_at_rho, _s
                                   _tilde_z)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
-                            QSeries, RationalFunction, _divide_one_minus, _splits,
-                            canonical_series)
+                            QSeries, RationalFunction, _splits, canonical_series)
 
 
 def hook(nu, i, j):
@@ -124,15 +125,55 @@ def one_minus(m):
     return Laurent({(0, 0): 1, m: -1})
 
 
+def divide_one_minus(terms, m):
+    """terms / (1 - m) as a Laurent, or None when 1 - m does not divide.
+
+    The terms lie on chains e + k*m; writing N = (1 - m) Q along one chain
+    gives n_k = q_k - q_(k-1), so Q is the running sum along each chain from
+    its first position on, gaps included.  1 - m divides exactly when every
+    chain's coefficients sum to zero, and Q stops one before the chain's
+    last position."""
+    a, b = m
+    chains = {}
+    for e, c in terms.items():
+        k = e[0] // a if a else e[1] // b
+        chains.setdefault((e[0] - k * a, e[1] - k * b), {})[k] = c
+    out = {}
+    for (x0, y0), chain in chains.items():
+        if sum(chain.values()):
+            return None
+        run = 0
+        for k in range(min(chain), max(chain)):
+            run += chain.get(k, 0)
+            if run:
+                out[(x0 + k * a, y0 + k * b)] = run
+    return Laurent(out)
+
+
+def chain_steps(f):
+    """The m of each step 1 - m whose product is the normalized polynomial
+    f, each as often as it divides, or None when f is no such product: f
+    divided one step at a time, by 1 - m for the least non-constant term m
+    of the last quotient."""
+    steps = []
+    while len(f.terms) > 1:
+        m = min(e for e in f.terms if e != (0, 0))
+        f = divide_one_minus(f.terms, m)
+        if f is None:
+            return None
+        steps.append(m)
+    return steps if f.terms == {(0, 0): 1} else None
+
+
 def chain_cancelled(num, factors):
     """num divided by each step 1 - m of factors, (m, k) pairs in order, as
-    often as `_divide_one_minus` divides it exactly, up to k: the reference
+    often as `divide_one_minus` divides it exactly, up to k: the reference
     for the packed division.  Returns the quotient and the k left of each
     m."""
     left = {}
     for m, k in factors:
         while k:
-            quo = _divide_one_minus(num.terms, m)
+            quo = divide_one_minus(num.terms, m)
             if quo is None:
                 break
             num, k = quo, k - 1

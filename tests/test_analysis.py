@@ -122,14 +122,19 @@ def test_fixture_sources_unique_and_cited():
         seen.add(fx["source"])
 
 
-def test_fixture_corpus_matches_generator():
-    # the committed corpus is byte for byte what tools/make_fixtures.py
-    # writes; the tool is imported, not run, so nothing is written
+def fixture_tool():
+    """tools/make_fixtures.py, imported, not run, so nothing is written."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "make_fixtures", os.path.join(root, "tools", "make_fixtures.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_fixture_corpus_matches_generator():
+    # the committed corpus is byte for byte what tools/make_fixtures.py writes
+    tool = fixture_tool()
     built = {fx["id"] + ".json": json.dumps(fx, indent=1, sort_keys=True) + "\n"
              for fx in tool.FIXTURES}
     assert len(built) == 44
@@ -138,6 +143,14 @@ def test_fixture_corpus_matches_generator():
     for name, text in built.items():
         with open(os.path.join(tool.OUT, name)) as fh:
             assert fh.read() == text, name
+
+
+def test_fixture_generator_refuses_arguments(tmp_path, capsys):
+    tool = fixture_tool()
+    tool.OUT = str(tmp_path / "fixtures")
+    assert tool.main(["--help"]) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert not os.path.exists(tool.OUT)
 
 
 def test_fixtures_dir_default_is_the_packaged_directory(tmp_path):

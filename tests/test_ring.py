@@ -4,17 +4,19 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chain_cancelled, one_minus, reference_expand, reference_rf_equal,
-                     series_multiply)
+from oracles import (chain_cancelled, chain_steps, one_minus, reference_expand,
+                     reference_rf_equal, series_multiply)
 from rp3vertex import ring
 from rp3vertex.ring import (_MUL_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
-                            Laurent, QSeries, RationalFunction, _divide_one_minus,
-                            _lift_sum, _mul_packed, _pack, _unpack, expand, series_divide)
+                            Laurent, QSeries, RationalFunction, _lift_sum, _mul_packed,
+                            _one_minus_steps, _pack, _unpack, canonical_series, expand,
+                            series_divide)
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -124,6 +126,28 @@ def test_a_denominator_that_is_no_product_of_steps_is_refused():
     # so expand is never handed one
     with pytest.raises(ValueError):
         expand(1 / (1 + q), 3)
+
+
+def test_a_rational_function_is_no_numerator_or_denominator():
+    for args, what in (((q / (1 - q),), "numerator"), ((q, 1 - q), "numerator"),
+                       ((q.num, 1 - q), "denominator")):
+        with pytest.raises(TypeError, match=f"{what} is a RationalFunction"):
+            RationalFunction(*args)
+
+
+def test_scaling_keeps_integral_coefficients_ints():
+    got = (q * Fraction(1, 2)) * 2
+    assert got.num.terms == {(2, 0): 1} and type(got.num.terms[2, 0]) is int
+    got = Laurent({(0, 0): Fraction(2, 3), (2, 0): Fraction(1, 3)}) * Fraction(3, 2)
+    assert got.terms == {(0, 0): 1, (2, 0): Fraction(1, 2)}
+    assert type(got.terms[0, 0]) is int
+
+
+def test_every_step_prints_as_one_minus_m():
+    # 1/(1 - t^2/q) is stored as -q t^-2 / (1 - q t^-2), a step below 1 in
+    # total degree
+    assert (1 / (1 - t * t / q)).text() == "-q*t^-2/(1 - q*t^-2)"
+    assert (qh / ((1 - q) * (1 - t) ** 2)).text() == "sqrt(q)/((1 - t)^2*(1 - q))"
 
 
 def test_rf_division_by_zero():
@@ -1012,7 +1036,12 @@ def test_expand_pure_t_division_error():
     # (1 - t) does not divide 1 + q coefficientwise
     bad = RationalFunction(Laurent({(0, 0): 1, (2, 0): 1}),
                            Laurent({(0, 0): 1, (0, 2): -1}))
-    with pytest.raises(ExpansionError):
+    with pytest.raises(ExpansionError, match="after dividing by 1 - t$"):
+        expand(bad, 4)
+    # the first pure step left is named: 1 - t divides (1 - t^2)/(1 - q)
+    # cut at q^4 (each q row is 1 - t^2), and 1 - t^4 does not
+    bad = (1 - t * t) / ((1 - q) * (1 - t) * (1 - t ** 4))
+    with pytest.raises(ExpansionError, match="after dividing by 1 - t\\^4$"):
         expand(bad, 4)
 
 
@@ -1113,18 +1142,53 @@ def test_expand_mixed_product_factor():
 
 
 @settings(deadline=None, max_examples=200)
-@given(LAURENTS, st.tuples(st.integers(1, 4), st.integers(-4, 4)), st.integers(-4, 12))
-def test_truncated_divide_is_the_geometric_sum(p, m, last):
-    terms = {e: c for e, c in p.terms.items() if e[0] <= last}
-    want = {}
-    # exponents start at q^-2, so no power of m above last + 4 stays in range
-    for k in range(last + 5):
-        for (x, y), c in terms.items():
-            e = (x + k * m[0], y + k * m[1])
-            if e[0] <= last:
-                want[e] = want.get(e, 0) + c
-    got = _divide_one_minus(terms, m, last)
-    assert got.terms == {e: c for e, c in want.items() if c}
+@given(LAURENTS.filter(bool), st.tuples(st.integers(1, 4), st.integers(-4, 4)),
+       st.integers(1, 3), st.integers(0, 6))
+@example(Laurent({(-2, 1): 3, (0, 0): Fraction(1, 2)}), (1, -3), 3, 6)
+def test_expand_is_the_binomial_sum(p, m, k, q_order):
+    value = RationalFunction(p, one_minus(m) ** k)
+    assert value.factors == ((m, k),)
+    # p / (1 - m)^k = p sum of m^(n_1 + ... + n_k) over all n_i >= 0, cut
+    # after last: each exponent of m counted C(n + k - 1, k - 1) times
+    last = p.min_q_exp() + 2 * q_order
+    slices = {}
+    for ns in product(range(2 * q_order // m[0] + 1), repeat=k):
+        n = sum(ns)
+        for (x, y), c in p.terms.items():
+            if x + n * m[0] <= last:
+                row = slices.setdefault(x + n * m[0], {})
+                row[y + n * m[1]] = row.get(y + n * m[1], 0) + c
+    assert expand(value, q_order) == canonical_series(slices, 2 * q_order)
+
+
+@st.composite
+def step_products(draw):
+    """A normalized polynomial: a product of steps 1 - m above (0, 0), some
+    repeated, or such a product with a term added above (0, 0), mostly no
+    product then; its coefficients ints or all Fractions."""
+    f = Laurent.const(1)
+    for m in draw(st.lists(ABOVE_ONE, max_size=4)):
+        f = f * one_minus(m) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        f = f + Laurent.monomial(*draw(ABOVE_ONE), draw(COEFFS.filter(bool)))
+    if draw(st.booleans()):
+        f = Laurent({e: Fraction(c) for e, c in f.terms.items()})
+    return f
+
+
+@settings(deadline=None, max_examples=300)
+@given(step_products())
+# 1 - t divides 1 - t^2 too, and the steps must still come out as these two
+@example(one_minus((0, 2)) * one_minus((0, 4)))
+@example(one_minus((0, 2)) * one_minus((0, 4)) ** 2 * one_minus((2, -1)) ** 3)
+@example(Laurent({(0, 0): Fraction(1), (2, 0): Fraction(-1, 1)}))
+@example(Laurent({(0, 0): 1, (2, 0): 1}))
+@example(Laurent({(0, 0): 1, (2, 0): -3}))
+@example(Laurent({(0, 0): 1, (2, 0): Fraction(-3, 2), (4, 0): Fraction(1, 2)}))
+def test_steps_split_as_the_chains_do(f):
+    want = chain_steps(f)
+    got = _one_minus_steps(f)
+    assert got == (None if want is None else sorted(Counter(want).items()))
 
 
 # -- bidegree series ---------------------------------------------------------

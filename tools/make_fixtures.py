@@ -10,6 +10,11 @@ Transcriptions follow the displayed text; the handful of corrections are
 flagged in "notes" fields, each justified by an internal cross-check
 (the t=q reduction between displays, or the printed expansion list of the
 same coefficient).
+
+Usage:
+    python tools/make_fixtures.py
+
+It takes no arguments, and refuses any before writing a file.
 """
 
 import json
@@ -524,7 +529,10 @@ qexp_fixture("appC_S3_qb2qf", "appendix C list, three-box row unknot: (2,1)",
               8 * (22 + 33 * T + 9 * T ** 2)])
 
 
-def main():
+def main(argv):
+    if argv:
+        print("usage: python tools/make_fixtures.py (no arguments)", file=sys.stderr)
+        return 2
     os.makedirs(OUT, exist_ok=True)
     ids = set()
     for fx in FIXTURES:
@@ -535,7 +543,8 @@ def main():
             json.dump(fx, fh, indent=1, sort_keys=True)
             fh.write("\n")
     print(f"wrote {len(FIXTURES)} fixtures to {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
