@@ -25,7 +25,7 @@ Conventions fixed here and validated against the display fixtures:
   print other factors.
 * Z = F0(Q_f) G(Q_b, Q_f) is a Cauchy product in Q_f and F0 is color-free,
   so F0 cancels from the normalized invariant: Z_open / Z_closed =
-  strip * G_open / G_closed, with G_closed(0,n) = delta_(n0).  Normalized
+  G_open / G_closed, with G_closed(0,n) = delta_(n0).  Normalized
   square-graph series are built so and print the quotient's forms; F0 and
   the F0 G sums serve only raw and colorless series.  The closed rows
   G_closed are cached, one entry per (mode, cutoff), and shared by every
@@ -35,17 +35,20 @@ Conventions fixed here and validated against the display fixtures:
   alphabets, hook products and framings are specialized (and cached) one
   at a time, because refined numerators are 10-30x larger than the
   specialized ones and would make specializing after gluing slow.
-* Every amplitude is normalized by the overall color monomial so that the
-  degree-(0,0) coefficient is the product of the principal Schur values of
-  the two colors.  Relative monomial bookkeeping between bidegrees is
-  exact, never gauge.
+* The colors enter each geometry in one place, as Schur values.  On the
+  square graph both sit at one alphabet, v = q^-rho t^-nu1':
+  E1(alpha,gamma,nu1) = E1(0,0,nu1) s_alpha(v) s_gamma(v), so the
+  normalized series is <s_alpha(v) s_gamma(v)>, the closed ensemble's
+  average, and leads with s_alpha(q^-rho) s_gamma(q^-rho).  The single edge
+  carries s_alpha(q^-rho t^-nu') s_gamma(t^-rho q^-nu') (t/q)^|gamma|, so
+  its refined series leads with (t/q)^|gamma| s_alpha(q^-rho) s_gamma(t^-rho).
 """
 
 from collections import namedtuple
 from functools import cache
 
-from .partitions import EMPTY, enumerate_up_to, partitions_of
-from .ring import RF_ONE, KahlerSeries, RationalFunction, checked_make, series_divide
+from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
+from .ring import KahlerSeries, RationalFunction, checked_make, series_divide
 from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
 from .vertex import framing_refined, framing_regular
 
@@ -61,6 +64,10 @@ class AmplitudeSpec(namedtuple("AmplitudeSpec", "geometry alpha gamma refined cu
                 cutoff=3):
         if geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {geometry!r}")
+        if not (isinstance(alpha, Partition) and isinstance(gamma, Partition)):
+            raise TypeError("colors must be Partitions")
+        if type(refined) is not bool or type(cutoff) is not int:
+            raise TypeError("refined must be a bool and cutoff an int")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         return super().__new__(cls, geometry, alpha, gamma, refined, cutoff)
@@ -104,34 +111,20 @@ def _framing(nu, order, refined):
 # -- edge factors: the trivalent blocks at empty fiber legs -----------------
 
 @cache
-def _c_brane(alpha, nu1, refined):
-    """First vertex on the alpha side, color alpha; the single edge's alpha side."""
-    e = alpha.norm_sq + nu1.norm_sq - alpha.size
-    return (_mono(e, -e + alpha.kappa + nu1.norm_sq, refined)
-            * _tilde_z(nu1, "t", refined)
-            * _schur(alpha, "q", nu1.conjugate(), "t", refined))
-
-
-@cache
-def _c_brane_g(gamma, nu1, refined):
-    """First vertex on the gamma side; the color sits at the conjugate shift."""
+def _edge_closed(nu1, refined):
+    """E1 at empty colors: the edge's sign and framing, and the first vertices
+    on both sides."""
     nu1t = nu1.conjugate()
-    e = nu1t.norm_sq + gamma.size
-    return (_mono(-e, e, refined) * _p_at_rho(nu1t, refined)
-            * _schur(gamma, "q", nu1t, "t", refined))
-
-
-def _color_monomial(alpha, gamma, refined):
-    """Overall monomial the assembly attaches to the colors; divided out so
-    the leading coefficient is s_alpha(q^-rho) s_gamma(q^-rho)."""
-    e = alpha.norm_sq - alpha.size
-    return _mono(e - gamma.size, -e + alpha.kappa + gamma.size, refined)
+    return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)
+            * _mono(nu1.norm_sq - nu1t.norm_sq, nu1t.norm_sq, refined)
+            * _tilde_z(nu1, "t", refined) * _p_at_rho(nu1t, refined))
 
 
 def _edge_brane(alpha, gamma, nu1, refined):
-    """E1: the edge's sign and framing, and the color sides' first vertices."""
-    return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)
-            * _c_brane(alpha, nu1, refined) * _c_brane_g(gamma, nu1, refined))
+    """E1: both colors are Schur values at the one alphabet v = q^-rho t^-nu1'."""
+    nu1t = nu1.conjugate()
+    return (_edge_closed(nu1, refined) * _schur(alpha, "q", nu1t, "t", refined)
+            * _schur(gamma, "q", nu1t, "t", refined))
 
 
 @cache
@@ -195,33 +188,30 @@ def _closed_rows(refined, cutoff):
 
 
 def _open_local(alpha, gamma, refined, cutoff):
-    """Z(r, s) = sum_a F0_a G(r, s - a), stripped of the color monomial."""
+    """Z(r, s) = sum_a F0_a G(r, s - a); the colors sit in G alone."""
     g = (_g_rows(alpha, gamma, refined, cutoff) if alpha or gamma
          else _closed_rows(refined, cutoff))
-    strip = RF_ONE / _color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
-        _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) * strip for r, s in g})
+        _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) for r, s in g})
 
 
 def _conifold(alpha, gamma, refined, cutoff):
     """Single compact edge, no framing; both colors shifted by the conjugate
     edge partition, which reproduces the cross-geometry comparison claims.
-    The alpha side is the square graph's first block with no fiber leg."""
+    The term at nu is its color-free edge value times
+    s_alpha(q^-rho t^-nu') s_gamma(t^-rho q^-nu') (t/q)^|gamma|."""
+    twist = _mono(-2 * gamma.size, 2 * gamma.size, refined)
     terms = {}
     for nu in enumerate_up_to(cutoff):
         nut = nu.conjugate()
-        eG = gamma.norm_sq + nut.norm_sq + gamma.size
-        g_side = (_mono(-eG + gamma.kappa + nut.norm_sq, eG, refined)
-                  * _tilde_z(nut, "q", refined)
-                  * _schur(gamma, "t", nut, "q", refined))
         terms.setdefault((nu.size, 0), []).append(
-            (-1) ** nu.size * _c_brane(alpha, nu, refined) * g_side)
-    eA = alpha.norm_sq - alpha.size
-    eG = gamma.norm_sq - gamma.size
-    strip = RF_ONE / _mono(eA - eG + gamma.kappa, -eA + alpha.kappa + eG, refined)
+            (-1) ** nu.size * _mono(nu.norm_sq, nut.norm_sq, refined)
+            * _tilde_z(nu, "t", refined) * _tilde_z(nut, "q", refined)
+            * _schur(alpha, "q", nut, "t", refined) * _schur(gamma, "t", nut, "q", refined)
+            * twist)
     determined = {(r, 0) for r in range(cutoff + 1)}
-    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
-                                 for rs, v in terms.items()}, determined)
+    return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) for rs, v in terms.items()},
+                        determined)
 
 
 def open_amplitude(spec):
@@ -248,13 +238,12 @@ def normalize(open_series, closed_series):
 def normalized_amplitude(spec):
     """The normalized invariant: open amplitude over the closed one for the
     same geometry and refinement.  On the square graph F0 cancels, so it is
-    strip * G_open / G_closed, where G_closed(0, n) = delta_(n0)."""
+    G_open / G_closed, where G_closed(0, n) = delta_(n0): the closed
+    ensemble's average of s_alpha(v) s_gamma(v)."""
     if spec.geometry == "resolved_conifold":
         return normalize(open_amplitude(spec),
                          closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
-    alpha, gamma = spec.alpha.conjugate(), spec.gamma.conjugate()
-    strip = RF_ONE / _color_monomial(alpha, gamma, spec.refined)
-    g_open = _g_rows(alpha, gamma, spec.refined, spec.cutoff)
-    return normalize(
-        KahlerSeries(spec.cutoff, {rn: g * strip for rn, g in g_open.items()}),
-        KahlerSeries(spec.cutoff, _closed_rows(spec.refined, spec.cutoff)))
+    g_open = _g_rows(spec.alpha.conjugate(), spec.gamma.conjugate(), spec.refined,
+                     spec.cutoff)
+    return normalize(KahlerSeries(spec.cutoff, g_open),
+                     KahlerSeries(spec.cutoff, _closed_rows(spec.refined, spec.cutoff)))

@@ -18,15 +18,17 @@ the closed fiber kernel.  The running sums along the chains e + k m
 a divisor polynomial into its steps one least term at a time on them
 (`chain_steps`) the reference for the split by multiplicities.  The gluing sum
 builds its blocks from the leg-general vertex below, a fiber leg at every
-block, which the program keeps only at empty legs.  Rational-function equality in its former form,
-cross multiplication after cancelling shared factors, is the reference for
-the zero test of the difference.
+block, which the program keeps only at empty legs; those blocks attach a
+color monomial (`color_monomial`) that the reference divides out, where the
+program's edge factor carries each color as a bare Schur value.
+Rational-function equality in its former form, cross multiplication after
+cancelling shared factors, is the reference for the zero test of the
+difference.
 """
 
 from functools import cache
 
-from rp3vertex.amplitude import (_color_monomial, _framing, _mono, _p_at_rho, _schur,
-                                  _tilde_z)
+from rp3vertex.amplitude import _framing, _mono, _p_at_rho, _schur, _tilde_z
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
                             QSeries, RationalFunction, _splits, canonical_series)
@@ -482,6 +484,14 @@ def c_plain_g(beta, nu2, refined):
             * _schur(beta, "q", nu2, "t", refined))
 
 
+def color_monomial(alpha, gamma, refined):
+    """The monomial the leg-general blocks attach to the colors at every
+    edge partition; the program never builds it, since its edge factor puts
+    each color in as a bare Schur value."""
+    e = alpha.norm_sq - alpha.size
+    return _mono(e - gamma.size, -e + alpha.kappa + gamma.size, refined)
+
+
 def reference_open_local(alpha, gamma, refined, cutoff):
     """The square graph's open amplitude for internal (conjugated) colors,
     summed over nu1, nu2 and every fiber leg lam, beta from the blocks."""
@@ -516,7 +526,7 @@ def reference_open_local(alpha, gamma, refined, cutoff):
                     if r + s1 + s2 > cutoff:
                         continue
                     terms.setdefault((r, s1 + s2), []).append(base * av * gv)
-    strip = RF_ONE / _color_monomial(alpha, gamma, refined)
+    strip = RF_ONE / color_monomial(alpha, gamma, refined)
     return KahlerSeries(cutoff, {rs: RationalFunction.sum_of(v) * strip
                                  for rs, v in terms.items()})
 

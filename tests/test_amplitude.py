@@ -30,22 +30,35 @@ def test_spec_validation():
         AmplitudeSpec(geometry="local_p2")
     with pytest.raises(ValueError):
         AmplitudeSpec(cutoff=-1)
+    # a field of the wrong type is refused here, not met deep in the engine
+    # or read as another series (refined="no" as True, cutoff=True as 1)
+    for bad in ({"alpha": [1]}, {"gamma": (1, 1)}, {"alpha": "[1]"}, {"refined": "no"},
+                {"refined": 1}, {"cutoff": True}, {"cutoff": 2.0}, {"cutoff": "3"}):
+        with pytest.raises(TypeError):
+            AmplitudeSpec(**bad)
+    assert AmplitudeSpec(alpha=Partition([2, 1]), refined=True, cutoff=0).cutoff == 0
 
 
-@pytest.mark.parametrize("build", [
-    lambda: AmplitudeSpec()._replace(cutoff=-1, geometry="bogus"),
-    lambda: AmplitudeSpec._make(["bogus", EMPTY, EMPTY, False, 3]),
-    lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(cutoff=-5,
-                                                       coeffs={(9, 9): RF_ZERO}),
-    lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(coeffs={(5, 5): RF_ONE}),
-    lambda: KahlerSeries._make([1, {(5, 5): RF_ONE}, None]),
-    lambda: Alphabet((), (1, 0), (2, 0))._replace(tail_ratio=(-2, 3)),
-    lambda: Alphabet._make([(), (1, 0), (0, 0)]),
-], ids=["spec-replace", "spec-make", "kahler-replace-cutoff", "kahler-replace-coeffs",
+@pytest.mark.parametrize("build, error", [
+    (lambda: AmplitudeSpec()._replace(cutoff=-1, geometry="bogus"), ValueError),
+    (lambda: AmplitudeSpec._make(["bogus", EMPTY, EMPTY, False, 3]), ValueError),
+    (lambda: AmplitudeSpec()._replace(alpha=[1]), TypeError),
+    (lambda: AmplitudeSpec._make(["local_p1xp1", EMPTY, EMPTY, "no", 3]), TypeError),
+    (lambda: AmplitudeSpec()._replace(cutoff=True), TypeError),
+    (lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(cutoff=-5,
+                                                        coeffs={(9, 9): RF_ZERO}),
+     ValueError),
+    (lambda: KahlerSeries(1, {(0, 0): RF_ONE})._replace(coeffs={(5, 5): RF_ONE}),
+     ValueError),
+    (lambda: KahlerSeries._make([1, {(5, 5): RF_ONE}, None]), ValueError),
+    (lambda: Alphabet((), (1, 0), (2, 0))._replace(tail_ratio=(-2, 3)), ValueError),
+    (lambda: Alphabet._make([(), (1, 0), (0, 0)]), ValueError),
+], ids=["spec-replace", "spec-make", "spec-replace-color", "spec-make-refined",
+        "spec-replace-cutoff", "kahler-replace-cutoff", "kahler-replace-coeffs",
         "kahler-make", "alphabet-replace", "alphabet-make"])
-def test_named_tuples_check_in_replace_and_make(build):
+def test_named_tuples_check_in_replace_and_make(build, error):
     # _replace and _make go through the constructor and its checks
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         build()
 
 
@@ -176,6 +189,45 @@ def test_conifold_closed_refined_matches_cauchy_sum():
 def test_conifold_brane_leading():
     z = conifold(BOX, EMPTY, False, 2)
     assert z.coeff(0, 0) == qh / (1 - q)
+    assert conifold(EMPTY, BOX, True, 1).coeff(0, 0) == t * th / (q * (1 - t))
+
+
+@pytest.mark.parametrize("gamma", ["[1]", "[2]", "[1,1]"])
+def test_refined_conifold_gamma_leading(gamma):
+    # the gamma side's alphabet is t^-rho q^-nu' and carries (t/q)^|gamma|,
+    # so its leading coefficient is no principal Schur product
+    gamma = parse_partition(gamma)
+    twist = RationalFunction.monomial(-2 * gamma.size, 2 * gamma.size)
+    for alpha in (EMPTY, BOX):
+        z = conifold(alpha, gamma, True, 1)
+        want = (twist * skew_schur(alpha.conjugate(), EMPTY, principal("q"))
+                * skew_schur(gamma.conjugate(), EMPTY, principal("t")))
+        assert z.coeff(0, 0) == want, (alpha, gamma)
+
+
+# colors (drawn shapes) and the Littlewood-Richardson sum of their product;
+# both gammas are single columns, so the Pieri rule adds a vertical strip
+LR_SUMS = [("[1]", "[1]", ["[2]", "[1,1]"]), ("[1]", "[1,1]", ["[2,1]", "[1,1,1]"])]
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_hopf_is_the_littlewood_richardson_sum_of_unknots(refined):
+    # E1(alpha, gamma, nu1) = E1(0, 0, nu1) s_alpha(v) s_gamma(v) at one
+    # alphabet v, so the normalized series is the closed ensemble's average
+    # of s_alpha s_gamma = sum_lam c^lam s_lam: a sum of unknot series
+    def zhat(alpha, gamma="[]"):
+        return normalized_amplitude(AmplitudeSpec(
+            alpha=parse_partition(alpha), gamma=parse_partition(gamma),
+            refined=refined, cutoff=4))
+
+    for alpha, gamma, lams in LR_SUMS:
+        hopf = zhat(alpha, gamma)
+        unknots = [zhat(lam) for lam in lams]
+        total = KahlerSeries(4, {rs: RationalFunction.sum_of(u.coeff(*rs) for u in unknots)
+                                 for rs in hopf.determined}, hopf.determined)
+        assert hopf.equal_through(total, 4) is None, (alpha, gamma)
+    # negative control: one constituent alone misses already at (0,0)
+    assert zhat("[1]", "[1]").equal_through(zhat("[2]"), 4) == (0, 0)
 
 
 def test_conifold_refined_reduces():

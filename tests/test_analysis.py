@@ -160,6 +160,23 @@ def test_fixtures_dir_default_is_the_packaged_directory(tmp_path):
         load_fixtures(str(tmp_path))
 
 
+def test_displayed_hopf_is_the_sum_of_its_unknots():
+    # the paper's refined displays obey s_[1] s_[1] = s_[2] + s_[1,1] on
+    # their own: eq12 ([1]x[1]) = appC_S2 ([2]) + eq10 ([1,1]), read from
+    # the fixture files with no engine code
+    def display(name):
+        with open(os.path.join(fixtures_dir_default(), name + ".json")) as fh:
+            return KahlerSeries.from_json(json.load(fh)["expected"])
+
+    hopf, row, column = display("eq12"), display("appC_S2"), display("eq10")
+    assert hopf.cutoff == 3 and len(hopf.determined) == 10
+    assert hopf.determined == row.determined == column.determined
+    for rs in hopf.determined:
+        assert hopf.coeff(*rs) == RationalFunction.sum_of(
+            [row.coeff(*rs), column.coeff(*rs)]), rs
+    assert hopf.coeff(0, 0) != row.coeff(0, 0)
+
+
 def test_report_json_shape():
     report = CheckReport("demo", "fail", witness="w", detail="d")
     doc = report.to_json()

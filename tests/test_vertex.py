@@ -2,7 +2,8 @@
 
 The gluing builds its edge factors E1 and E2 from the vertex blocks at
 empty fiber legs; the leg-general vertex, the four displayed-product blocks
-at any fiber leg, is the oracle's, and E1 and E2 are checked against it.
+at any fiber leg, is the oracle's, and E1 and E2 are checked against it,
+E1 after dividing out the monomial that the blocks attach to its colors.
 
 The one-parameter blocks are written out below as the reference the refined
 blocks must reduce to at t = q, block by block; regular mode computes them
@@ -13,7 +14,7 @@ once for every color."""
 
 import pytest
 
-from oracles import c_brane, c_brane_g, c_plain, c_plain_g
+from oracles import c_brane, c_brane_g, c_plain, c_plain_g, color_monomial
 from rp3vertex.amplitude import _edge_brane, _edge_plain, _framing
 from rp3vertex.analysis import CONJECTURE_COLORS
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, parse_partition
@@ -185,9 +186,11 @@ def test_edges_are_the_general_blocks_at_empty_legs(refined):
         got = _edge_plain(nu, refined)
         assert (got.num.terms, got.factors) == (want.num.terms, want.factors), nu
         for alpha, gamma in colors:
+            # the blocks carry the color monomial, the edge factor does not
             want = (sign * _framing(nu, ("t", "q"), refined)
                     * c_brane(EMPTY, alpha, nu, refined)
-                    * c_brane_g(gamma, EMPTY, nu, refined))
+                    * c_brane_g(gamma, EMPTY, nu, refined)
+                    / color_monomial(alpha, gamma, refined))
             got = _edge_brane(alpha, gamma, nu, refined)
             assert (got.num.terms, got.factors) == (want.num.terms, want.factors), \
                 (alpha, gamma, nu)
