@@ -14,35 +14,41 @@ polynomial a value is divided by, splits it into its steps and refuses
 one that is no such product.  Rational functions never run a polynomial
 gcd: sums take step-wise least common multiples, and two values are equal
 when their difference is zero, a sum that lifts both numerators to the
-LCM of the two denominators; the expanded denominator `den` is built by
-the same lifting.  A sum applies each LCM step its terms miss once per
-group of terms that need it equally often, to their partial sum, not to
-every term's numerator on its own.  Every
-sum does that on packed integers (Kronecker substitution): the numerators
-that need the same steps become one Python integer with a fixed-width
-slot per lattice point of a box that holds every partial sum, a step
-1 - m becomes one shift and subtract, and the result is decoded once; the
-slot width is proved wide enough for every coefficient, so the decoded
-terms are exact (see `_lift_sum`).  Large products with
-integer coefficients are one product of two packed integers (see
-`_mul_packed`).  Sums do not cancel;
-`cancelled` divides the numerator exactly by each step 1 - m that divides
-it, and is called only on the skew Schur leaves and in `series_divide`,
-which divides each quotient coefficient's sum on the packed integer its
-lifting built, before decoding it.
+LCM of the two denominators; over equal denominators that is whether the
+numerators are equal, which is compared directly.  The expanded
+denominator `den` is built by the same lifting.  A sum applies each LCM
+step its terms miss once per group of terms that need it equally often,
+to their partial sum, not to every term's numerator on its own; a sum
+whose terms miss no step adds their numerators as they stand.  Every sum
+that lifts does that on packed integers (Kronecker substitution): the
+numerators that need the same steps become one Python integer with a
+fixed-width slot per lattice point of a box that holds every partial
+sum, a step 1 - m becomes one shift and subtract, and the result is
+decoded once; the slot width is proved wide enough for every
+coefficient, so the decoded terms are exact (see `_lift_sum`).
+Products, scalings, divisions and `sum_of` store an integral coefficient
+as an int, so that values stay on these integer kernels.  Large products
+with integer coefficients are one product of two packed integers (see
+`_mul_packed`).  Sums do not cancel; `cancelled` divides the numerator
+exactly by each step 1 - m that divides it, and is called only on the
+skew Schur leaves and in `series_divide`, which divides each quotient
+coefficient's sum on the packed integer its lifting built, before
+decoding it.
 
 Every exact division by a step 1 - m runs on packed integers in one
 kernel, `_cancel_packed`, whose checks prove each quotient (see there):
 in `cancelled`, in `series_divide`, in `_one_minus_steps`, which splits a
-divisor polynomial into its steps, and in `expand` for the steps pure in
-t.  `expand` inverts every other step as a power series, multiplying by
-its binomial series cut at the order.
+divisor polynomial into its steps and is memoized like the package's
+other `functools.cache` memos, and in `expand` for the steps pure in t.
+`expand` inverts every other step as a power series, multiplying by its
+binomial series cut at the order.
 """
 
 import sys
 from array import array
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product, repeat
 from math import comb, gcd, lcm
 from operator import mul, sub
@@ -60,7 +66,10 @@ def _coeff_str(c):
 
 
 def _coeff_of(item):
-    """The coefficient that `_coeff_str` wrote as item's "num" and "den"."""
+    """The coefficient that `_coeff_str` wrote as item's "num" and "den";
+    an int when "den" is "1", as it is for every integral coefficient."""
+    if item["den"] == "1":
+        return int(item["num"])
     return _tighten(Fraction(int(item["num"]), int(item["den"])))
 
 
@@ -178,20 +187,24 @@ class Laurent:
             a, b = b, a
         if len(a) == 1:
             (eq, et), c = next(iter(a.items()))
-            return Laurent._of({(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()})
-        if len(a) * len(b) >= _MUL_PACK_WORK:
-            out = _mul_packed(a, b)
-            if out is not None:
-                return out
-        out = {}
-        for (aq, at), ca in a.items():
-            for (bq, bt), cb in b.items():
-                e = (aq + bq, at + bt)
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+            out = {(e0 + eq, e1 + et): cb * c for (e0, e1), cb in b.items()}
+        else:
+            if len(a) * len(b) >= _MUL_PACK_WORK:
+                out = _mul_packed(a, b)
+                if out is not None:
+                    return out
+            out = {}
+            for (aq, at), ca in a.items():
+                for (bq, bt), cb in b.items():
+                    e = (aq + bq, at + bt)
+                    v = out.get(e, 0) + ca * cb
+                    if v:
+                        out[e] = v
+                    elif e in out:
+                        del out[e]
+        # `_tightened`, inline on the package's most frequent call
+        if type(sum(out.values())) is not int:
+            out = {e: _tighten(c) for e, c in out.items()}
         return Laurent._of(out)
 
     __rmul__ = __mul__
@@ -199,9 +212,7 @@ class Laurent:
     def scale(self, c):
         if not c:
             return Laurent()
-        # an integral product is an int, so that the value stays on the
-        # kernels for integer coefficients
-        return Laurent._of({e: _tighten(v * c) for e, v in self.terms.items()})
+        return _tightened({e: v * c for e, v in self.terms.items()})
 
     def shift(self, eq, et):
         """Multiply by the monomial with doubled exponents (eq, et)."""
@@ -322,6 +333,17 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
+def _tightened(terms):
+    """The Laurent of a term dict with no zero coefficient, each integral
+    one an int, so that the value stays on the kernels for integer
+    coefficients.  The coefficients sum to an int only when every one is
+    an int (a sum of Fractions is a Fraction, integral or not), so a dict
+    of ints costs one sum in C and is kept as it is."""
+    if type(sum(terms.values())) is int:
+        return Laurent._of(terms)
+    return Laurent._of({e: _tighten(c) for e, c in terms.items()})
+
+
 def _divided(poly, c):
     """poly with every coefficient divided by c; a quotient that is an
     integer is an int, so that values stay on the kernels for integer
@@ -334,12 +356,15 @@ def _step_text(m):
     return f"1 - {Laurent._of({m: 1}).text()}"
 
 
+@cache
 def _one_minus_steps(f):
     """The (m, k) pairs of the steps whose product prod (1 - m)^k is the
-    factor f, or None when f is no such product.  f is normalized, so in
-    such a product every m lies above (0, 0) in lexicographic order, and the
-    least non-constant term of f is the least m, with coefficient -k: every
-    sum of two or more steps lies higher.  So f is divided exactly by that
+    factor f, as a tuple, or None when f is no such product; memoized like
+    the package's other `functools.cache` memos, since `_over` splits the
+    same few divisors again and again (each fixture `den` among them).  f
+    is normalized, so in such a product every m lies above (0, 0) in
+    lexicographic order, and the least non-constant term of f is the least
+    m, with coefficient -k: every sum of two or more steps lies higher.  So f is divided exactly by that
     (1 - m)^k, once, and the quotient split in turn; dividing by 1 - m as
     often as it divides would not do, since 1 - t divides 1 - t^2 too."""
     steps = []
@@ -354,7 +379,7 @@ def _one_minus_steps(f):
         if left[m]:
             return None
         steps.append((m, k))
-    return steps
+    return tuple(steps)
 
 
 def _horner(items, shifts, i):
@@ -852,6 +877,15 @@ class RationalFunction:
             return RF_ZERO
         if len(values) == 1 and not cancel:
             return values[0]
+        factors = values[0].factors
+        if not cancel and all(v.factors == factors for v in values):
+            # no value misses a step: the numerators add as they stand
+            out = {}
+            for v in values:
+                for e, c in v.num.terms.items():
+                    out[e] = out.get(e, 0) + c
+            return RationalFunction._make(_tightened({e: c for e, c in out.items() if c}),
+                                          dict(factors))
         lcm = {}
         for v in values:
             for m, k in v.factors:
@@ -887,11 +921,14 @@ class RationalFunction:
     def __eq__(self, other):
         """Whether the difference is zero: `sum_of` lifts both numerators to
         the LCM of the two denominators, so the numerators it subtracts are
-        those that cross multiplication by the missing factors compares."""
+        those that cross multiplication by the missing factors compares.
+        Over equal denominators that is whether the numerators are equal."""
         if isinstance(other, (Laurent, int, Fraction)):
             other = RationalFunction.of(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self.factors == other.factors:
+            return self.num.terms == other.num.terms
         return RationalFunction.sum_of([self, -other]).is_zero()
 
     # equal values in different unreduced forms have no common hash
@@ -993,12 +1030,12 @@ class QSeries(namedtuple("QSeries", "prefactor coeffs order")):
         if not self.coeffs:
             return None
         _, c = self.prefactor.min_term()
-        if c < 0 or Fraction(c).denominator != 1:
+        if c < 0 or c.denominator != 1:
             return (0, 0, c)
         for qe in sorted(self.coeffs):
             for te in sorted(self.coeffs[qe]):
                 v = self.coeffs[qe][te]
-                if Fraction(v).denominator != 1 or v < 0:
+                if v.denominator != 1 or v < 0:
                     return (qe, te, v)
         return None
 
@@ -1135,9 +1172,15 @@ def canonical_series(slices, order_doubled):
     sign = -1 if lead < 0 else 1
     content = _content(v for poly in shifted.values() for v in poly.values())
     scale = sign * content
-    if scale != 1:
+    if scale.denominator != 1:
         inv = Fraction(1, 1) / scale
         shifted = {qe: {te: _tighten(c * inv) for te, c in poly.items()}
+                   for qe, poly in shifted.items()}
+    elif scale != 1:
+        # an integral content: every coefficient is integral (the content's
+        # denominator is the lcm of theirs), and it divides each exactly
+        s = scale.numerator
+        shifted = {qe: {te: c // s for te, c in poly.items()}
                    for qe, poly in shifted.items()}
     prefactor = Laurent.monomial(qmin, tmin, _tighten(scale))
     return QSeries(prefactor, shifted, order_doubled)
@@ -1171,6 +1214,8 @@ class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
     __slots__ = ()
 
     def __new__(cls, cutoff, coeffs=None, determined=None):
+        if type(cutoff) is not int:
+            raise TypeError(f"cutoff {cutoff!r} is not an int")
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         clean = {}

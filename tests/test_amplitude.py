@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from rp3vertex import amplitude, partitions, specialize, vertex
+from rp3vertex import amplitude, partitions, ring, specialize, vertex
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
                                  _fiber0, _g_rows, closed_amplitude, normalize,
                                  normalized_amplitude, open_amplitude)
@@ -424,7 +424,7 @@ def test_normalized_size_guard():
 def test_exact_core_leaves_no_reference_cycles():
     # the CLI runs with the cyclic garbage collector suspended, which only
     # costs nothing while the exact core builds no cycle
-    for module in (amplitude, partitions, specialize, vertex):
+    for module in (amplitude, partitions, ring, specialize, vertex):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

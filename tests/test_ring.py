@@ -14,9 +14,9 @@ from oracles import (chain_cancelled, chain_steps, one_minus, reference_expand,
                      reference_rf_equal, series_multiply)
 from rp3vertex import ring
 from rp3vertex.ring import (_MUL_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
-                            Laurent, QSeries, RationalFunction, _lift_sum, _mul_packed,
-                            _one_minus_steps, _pack, _unpack, canonical_series, expand,
-                            series_divide)
+                            Laurent, QSeries, RationalFunction, _coeff_of, _coeff_str,
+                            _lift_sum, _mul_packed, _one_minus_steps, _pack, _tighten,
+                            _unpack, canonical_series, expand, series_divide)
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -791,7 +791,7 @@ def test_compute_sums_match_the_naive_sum(monkeypatch):
         return got if cancel is None else (got, left)
 
     monkeypatch.setattr(ring, "_lift_sum", checked)
-    for module in (amplitude, partitions, specialize, vertex):
+    for module in (amplitude, partitions, ring, specialize, vertex):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -1188,7 +1188,143 @@ def step_products(draw):
 def test_steps_split_as_the_chains_do(f):
     want = chain_steps(f)
     got = _one_minus_steps(f)
-    assert got == (None if want is None else sorted(Counter(want).items()))
+    assert got == (None if want is None else tuple(sorted(Counter(want).items())))
+
+
+# -- the exact shortcuts past the packed kernels -----------------------------
+
+# stored denominators, and coefficients whose sums are often integral
+STEP_BAGS = st.dictionaries(ABOVE_ONE, st.integers(1, 3), max_size=3)
+HALVES = st.one_of(COEFFS, st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]))
+HALF_LAURENTS = st.dictionaries(EXPONENTS, HALVES, max_size=6).map(Laurent)
+half = Fraction(1, 2)
+
+
+@st.composite
+def denominator_pairs(draw):
+    """(a, b) over one stored denominator, or over two; b's numerator is
+    a's, or a's as Fractions, or a's plus another, or another."""
+    bag = draw(STEP_BAGS)
+    num = draw(HALF_LAURENTS)
+    form = draw(st.sampled_from(("same", "fractions", "plus", "other")))
+    if form == "same":
+        other = num
+    elif form == "fractions":
+        other = Laurent({e: Fraction(c) for e, c in num.terms.items()})
+    elif form == "plus":
+        other = num + draw(HALF_LAURENTS)
+    else:
+        other = draw(HALF_LAURENTS)
+    other_bag = bag if draw(st.booleans()) else draw(STEP_BAGS)
+    return RationalFunction._make(num, bag), RationalFunction._make(other, other_bag)
+
+
+@settings(deadline=None, max_examples=300)
+@given(denominator_pairs())
+@example((q / (1 - q), 2 * q / (1 - q)))
+@example((half * q / (1 - q), RationalFunction._make(Laurent({(2, 0): half}), {(2, 0): 1})))
+@example((q * (1 - q) / (1 - q), q))
+def test_equality_over_equal_denominators_agrees_with_cross_multiplication(pair):
+    # equal denominators compare their numerators, others their difference
+    a, b = pair
+    want = reference_rf_equal(a, b)
+    assert (a == b) is want
+    assert (b == a) is want
+
+
+@st.composite
+def step_free_sums(draw):
+    """(values, bag): values over the one stored denominator bag, perhaps
+    with the negatives of all or some of them, so the sum cancels."""
+    bag = draw(STEP_BAGS)
+    nums = draw(st.lists(HALF_LAURENTS.filter(bool), min_size=2, max_size=5))
+    if draw(st.booleans()):
+        nums += [-num for num in draw(st.sampled_from([nums, nums[:1]]))]
+    return [RationalFunction._make(num, bag) for num in nums], bag
+
+
+@settings(deadline=None, max_examples=300)
+@given(step_free_sums())
+@example(([half * q / (1 - q), half * q / (1 - q)], {(2, 0): 1}))
+@example(([half * q, Fraction(3, 2) * q, -q], {}))
+def test_step_free_sums_match_the_packed_lift(case):
+    # a sum in which no value misses a step adds the numerators, and keeps
+    # an integral sum of Fractions as an int, as the packed lift does
+    values, bag = case
+    got = RationalFunction.sum_of(values)
+    want = _lift_sum([(v.num, ()) for v in values], ())
+    assert got.num.terms == want.terms
+    assert got.factors == RationalFunction._make(want, bag).factors
+    assert all(type(c) is int for c in got.num.terms.values() if c.denominator == 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(step_products())
+@example(one_minus((0, 2)) * one_minus((0, 4)))
+def test_memoized_step_splits_match_the_chains(f):
+    # a value-equal twin with other coefficient types is answered from the
+    # memo, with the same tuple of steps
+    want = chain_steps(f)
+    want = None if want is None else tuple(sorted(Counter(want).items()))
+    twin = Laurent({e: Fraction(c) if type(c) is int else _tighten(c)
+                    for e, c in f.terms.items()})
+    assert _one_minus_steps(f) == want
+    hits = _one_minus_steps.cache_info().hits
+    assert _one_minus_steps(twin) == want
+    assert _one_minus_steps.cache_info().hits == hits + 1
+
+
+INT_SLICES = st.dictionaries(st.integers(-4, 8), st.dictionaries(
+    st.integers(-4, 4), st.integers(-30, 30), max_size=4), max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(INT_SLICES, st.integers(-6, 6).filter(bool), st.integers(1, 6), st.integers(0, 12))
+@example({0: {0: -4, 2: 6}, 2: {0: 8}}, 1, 3, 4)
+def test_integral_series_divide_by_their_content_exactly(slices, k, d, order):
+    # the slices times k, as ints, as Fractions, and over d: the same
+    # primitive series, with every coefficient of the int path an int
+    ints = {qe: {te: k * c for te, c in poly.items()} for qe, poly in slices.items()}
+    got = canonical_series(ints, order)
+    as_fractions = canonical_series({qe: {te: Fraction(c) for te, c in poly.items()}
+                                     for qe, poly in ints.items()}, order)
+    over_d = canonical_series({qe: {te: Fraction(c, d) for te, c in poly.items()}
+                               for qe, poly in ints.items()}, order)
+    assert got == as_fractions
+    assert got.coeffs == over_d.coeffs
+    values = [c for poly in got.coeffs.values() for c in poly.values()]
+    assert all(type(c) is int for c in values)
+    if values:
+        assert over_d.prefactor == got.prefactor.scale(Fraction(1, d))
+        (_e, lead), = got.prefactor.terms.items()
+        assert type(lead) is int
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-10 ** 30, 10 ** 30),
+       st.one_of(st.sampled_from([1, -1, 0]), st.integers(-50, 50)))
+def test_coefficients_read_back_as_written(n, d):
+    # "den" "1" is read as an int, "-1" negates, "0" divides by zero
+    item = {"num": str(n), "den": str(d)}
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            _coeff_of(item)
+        return
+    got = _coeff_of(item)
+    assert got == Fraction(n, d)
+    assert (type(got) is int) == (Fraction(n, d).denominator == 1)
+    assert _coeff_of(dict(zip(("num", "den"), _coeff_str(got)))) == got
+
+
+@settings(deadline=None, max_examples=200)
+@given(LAURENTS, LAURENTS)
+@example(Laurent({(0, 0): half}), Laurent({(2, 0): 2, (4, 0): 2}))
+@example(Laurent({(0, 0): half, (2, 0): half}), Laurent({(0, 0): 2, (2, 0): 2}))
+def test_products_keep_integral_coefficients_ints(a, b):
+    # on the monomial path and on the dict path
+    got = a * b
+    assert got.terms == general_product(a, b).terms
+    assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
 
 
 # -- bidegree series ---------------------------------------------------------
@@ -1289,6 +1425,22 @@ def test_laurent_hash_agrees_with_equality():
     b = Laurent({(0, 0): Fraction(2), (2, 0): Fraction(1, 2)})
     assert a == b and hash(a) == hash(b)
     assert {a: "x"}[b] == "x"
+
+
+def test_kahler_cutoff_is_an_int():
+    # a bool cutoff would be written as JSON true, which from_json refuses
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            KahlerSeries(bad, {(0, 0): one})
+    for build in (lambda: KahlerSeries(1, {(0, 0): one})._replace(cutoff=True),
+                  lambda: KahlerSeries._make([True, {(0, 0): one}, None])):
+        with pytest.raises(TypeError):
+            build()
+    for cutoff in (0, 1, 3):
+        z = KahlerSeries(cutoff, {(0, 0): one, (0, cutoff): q / (1 - q)})
+        data = json.loads(json.dumps(z.to_json()))
+        assert type(data["cutoff"]) is int
+        assert KahlerSeries.from_json(data) == z
 
 
 def test_kahler_json_roundtrip():
