@@ -26,10 +26,10 @@ fixed-width slot per lattice point of a box that holds every partial
 sum, a step 1 - m becomes one shift and subtract, and the result is
 decoded once; the slot width is proved wide enough for every
 coefficient, so the decoded terms are exact (see `_lift_sum`).
-Products, scalings, divisions and `sum_of` store an integral coefficient
-as an int, so that values stay on these integer kernels.  Large products
-with integer coefficients are one product of two packed integers (see
-`_mul_packed`).  Sums do not cancel; `cancelled` divides the numerator
+Products, sums, scalings, divisions and `sum_of` store an integral
+coefficient as an int, so that values stay on these integer kernels.
+Large products with integer coefficients are one product of two packed
+integers (see `_mul_packed`).  Sums do not cancel; `cancelled` divides the numerator
 exactly by each step 1 - m that divides it, and is called only on the
 skew Schur leaves and in `series_divide`, which divides each quotient
 coefficient's sum on the packed integer its lifting built, before
@@ -40,8 +40,9 @@ kernel, `_cancel_packed`, whose checks prove each quotient (see there):
 in `cancelled`, in `series_divide`, in `_one_minus_steps`, which splits a
 divisor polynomial into its steps and is memoized like the package's
 other `functools.cache` memos, and in `expand` for the steps pure in t.
-`expand` inverts every other step as a power series, multiplying by its
-binomial series cut at the order.
+`expand` inverts every other step as a power series: it multiplies by the
+product of their binomial series cut at the order, memoized per
+denominator and order (`_inverse_series`).
 """
 
 import sys
@@ -160,7 +161,7 @@ class Laurent:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return Laurent._of(out)
+        return _tightened(out)
 
     __radd__ = __add__
 
@@ -437,15 +438,17 @@ def _lift_sum(items, steps, cancel=None):
     the integers are exact whatever their slots hold, and only the final
     integer is decoded: right when each of its coefficients has |c| <
     2^(W-1).  The result's 1-norm, which bounds each of its coefficients
-    (and those of every partial sum), is at most S = sum_i |num_i|_1
-    2^(sum_j need_j), need_j the largest need_ij, because |a b|_1 <= |a|_1
-    |b|_1 and |1 - m|_1 = 2.  So W is the bit length of S plus a sign bit,
-    rounded up to whole bytes, and a step 1 - m lifts by acc - (acc << W
-    s(m)).  Coefficients that are not all ints (S is then no int) are made
+    (and those of every partial sum), is at most S' = sum over the need
+    groups of (sum_i |num_i|_1) 2^(sum_j need_j), each group's own needs:
+    every partial sum is sum_i num_i times part of item i's own step powers
+    prod (1 - m_j)^need_ij, |a b|_1 <= |a|_1 |b|_1 and |1 - m|_1 = 2.  So
+    W is the bit length of S' plus a sign bit, rounded up to whole bytes,
+    and a step 1 - m lifts by acc - (acc << W s(m)).  Coefficients that
+    are not all ints (S' is then no int) are made
     integers by the lcm L of their denominators, and the sum divided by L.
     To cancel, the lattice takes in the exponents of the steps of `cancel`
     too, each row gets padding columns after its data columns, as many as
-    the largest t-reach |b|/g_t of those steps, and W two more bits than S
+    the largest t-reach |b|/g_t of those steps, and W two more bits than S'
     needs (see `_cancel_packed`)."""
     groups = {}
     for num, nd in items:
@@ -457,16 +460,16 @@ def _lift_sum(items, steps, cancel=None):
     down_t = [min(0, b) if n else 0 for (_a, b), n in zip(steps, need)]
     up_t = [max(0, b) if n else 0 for (_a, b), n in zip(steps, need)]
     qs, ts, corners = set(), set(), []
-    norm = 0
+    bound = 0
     for nd, polys in groups.items():
-        norm += sum(map(abs, chain.from_iterable(map(dict.values, polys))))
+        bound += sum(map(abs, chain.from_iterable(map(dict.values, polys)))) * (1 << sum(nd))
         q, t = zip(*chain.from_iterable(polys))
         qs.update(q)
         ts.update(t)
         corners.append((min(q), max(q) + sum(map(mul, nd, up_q)),
                         min(t) + sum(map(mul, nd, down_t)),
                         max(t) + sum(map(mul, nd, up_t))))
-    if type(norm) is not int:
+    if type(bound) is not int:
         # the type, not the denominator: an integral Fraction is no int either
         den = lcm(*(c.denominator for num, _nd in items for c in num.terms.values()))
         ints = [(Laurent._of({e: int(c * den) for e, c in num.terms.items()}), nd)
@@ -481,7 +484,6 @@ def _lift_sum(items, steps, cancel=None):
     g_t = gcd(*down_t, *up_t, *(b for _a, b in divisors), *map(sub, ts, repeat(t0))) or 1
     lows_q, highs_q, lows_t, highs_t = zip(*corners)
     lo_q, hi_q, lo_t, hi_t = min(lows_q), max(highs_q), min(lows_t), max(highs_t)
-    bound = norm << sum(need)
     pad = max((abs(b) for _a, b in divisors), default=0) // g_t
     size = (bound.bit_length() + (8 if cancel is None else 9)) // 8
     n_t = (hi_t - lo_t) // g_t + 1 + pad
@@ -765,6 +767,14 @@ class RationalFunction:
         rf._init(num, tuple(sorted((m, k) for m, k in bag.items() if k)))
         return rf
 
+    @classmethod
+    def _of(cls, num, factors):
+        """Wrap num over factors, a sorted tuple of (m, k) pairs with every
+        k positive, and empty when num is zero, as the caller guarantees."""
+        rf = cls.__new__(cls)
+        rf._init(num, factors)
+        return rf
+
     @staticmethod
     def _over(num, poly, bag):
         """num / (poly * the steps in bag): poly's content and monomial fold
@@ -824,7 +834,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._make(-self.num, dict(self.factors))
+        return RationalFunction._of(-self.num, self.factors)
 
     def __sub__(self, other):
         return self + (-RationalFunction.of(other))
@@ -833,15 +843,28 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product over the merged steps; a product of nonzero
+        polynomials is nonzero, and where one side has no steps, the other
+        side's tuple is the merged one as it stands."""
         if isinstance(other, (int, Fraction)):
-            return RationalFunction._make(self.num.scale(other), dict(self.factors))
+            if not other:
+                return RF_ZERO
+            return RationalFunction._of(self.num.scale(other), self.factors)
+        if isinstance(other, Laurent):
+            if not other:
+                return RF_ZERO
+            return RationalFunction._of(self.num * other, self.factors)
         other = RationalFunction.of(other)
         if self.is_zero() or other.is_zero():
             return RF_ZERO
-        bag = dict(self.factors)
-        for m, k in other.factors:
-            bag[m] = bag.get(m, 0) + k
-        return RationalFunction._make(self.num * other.num, bag)
+        a, b = self.factors, other.factors
+        if a and b:
+            bag = dict(a)
+            for m, k in b:
+                bag[m] = bag.get(m, 0) + k
+            # every k is positive, and so is every sum of them
+            a = tuple(sorted(bag.items()))
+        return RationalFunction._of(self.num * other.num, a or b)
 
     __rmul__ = __mul__
 
@@ -1120,12 +1143,14 @@ def expand(rf, q_order):
 
     Every denominator step 1 - q^a t^b has a > 0, or a = 0 and b > 0.  The
     numerator is cut at the order, the steps with a = 0, pure in t, must
-    divide it exactly (`cancelled`), and it is multiplied by the series
-    1/(1 - m)^k = sum_n C(n + k - 1, k - 1) m^n of each other step, cut at
-    the order.  A pure step acts on each q row on its own, and the series of
-    every other step has 1 as its q^0 row, so a pure step divides the cut
-    numerator exactly when it divides the cut series.  Raises
-    ExpansionError when a pure step does not divide.
+    divide it exactly (`cancelled`), and it is multiplied once by the
+    product of the series 1/(1 - m)^k = sum_n C(n + k - 1, k - 1) m^n of
+    every other step, cut at the order (`_inverse_series`, one per
+    denominator), and the product is cut at the order.  That is exact: every
+    term of the series has a q exponent from 0 up.  A pure step acts on each
+    q row on its own, and the series of every other step has 1 as its q^0
+    row, so a pure step divides the cut numerator exactly when it divides
+    the cut series.  Raises ExpansionError when a pure step does not divide.
     """
     rf = RationalFunction.of(rf)
     if rf.is_zero():
@@ -1141,16 +1166,31 @@ def expand(rf, q_order):
             raise ExpansionError("coefficient is not polynomial after dividing by "
                                  f"{_step_text(rest.factors[0][0])}")
         num = rest.num
-    for (a, b), k in rf.factors:
-        if a:
-            series = Laurent._of({(n * a, n * b): comb(n + k - 1, k - 1)
-                                  for n in range(span // a + 1)})
-            num = Laurent._of({e: c for e, c in (num * series).terms.items() if e[0] <= last})
+    num = Laurent._of({e: c for e, c in (num * _inverse_series(rf.factors, span)).terms.items()
+                       if e[0] <= last})
 
     slices = {}
     for (eq, et), c in num.terms.items():
         slices.setdefault(eq, {})[et] = c
     return canonical_series(slices, span)
+
+
+@cache
+def _inverse_series(steps, span):
+    """prod 1/(1 - m)^k over the (m, k) pairs of steps with m = q^a t^b, a >
+    0, each the series sum_n C(n + k - 1, k - 1) m^n, cut after q^span
+    (doubled); memoized like the package's other `functools.cache` memos,
+    since the coefficients of a series share a few denominators.  Each
+    series has q exponents from 0 up, so cutting every partial product
+    after q^span leaves the product's terms up to q^span exact."""
+    series = L_ONE
+    for (a, b), k in steps:
+        if a:
+            step = Laurent._of({(n * a, n * b): comb(n + k - 1, k - 1)
+                                for n in range(span // a + 1)})
+            series = Laurent._of({e: c for e, c in (series * step).terms.items()
+                                  if e[0] <= span})
+    return series
 
 
 def canonical_series(slices, order_doubled):
@@ -1170,15 +1210,17 @@ def canonical_series(slices, order_doubled):
     lead_poly = shifted[0]
     lead = lead_poly[min(lead_poly)]
     sign = -1 if lead < 0 else 1
-    content = _content(v for poly in shifted.values() for v in poly.values())
-    scale = sign * content
+    values = [v for poly in shifted.values() for v in poly.values()]
+    scale = sign * _content(values)
     if scale.denominator != 1:
         inv = Fraction(1, 1) / scale
         shifted = {qe: {te: _tighten(c * inv) for te, c in poly.items()}
                    for qe, poly in shifted.items()}
-    elif scale != 1:
+    elif scale != 1 or type(sum(values)) is not int:
         # an integral content: every coefficient is integral (the content's
-        # denominator is the lcm of theirs), and it divides each exactly
+        # denominator is the lcm of theirs), and it divides each exactly, to
+        # an int; a content of 1 divides too when some coefficient is a
+        # Fraction (the coefficients sum to an int only when each is one)
         s = scale.numerator
         shifted = {qe: {te: c // s for te, c in poly.items()}
                    for qe, poly in shifted.items()}
@@ -1188,7 +1230,6 @@ def canonical_series(slices, order_doubled):
 
 def _content(values):
     # an int is its own numerator over denominator 1, as a Fraction of it is
-    values = list(values)
     num = gcd(*(v.numerator for v in values))
     return Fraction(num, lcm(*(v.denominator for v in values))) if num else Fraction(1)
 

@@ -23,7 +23,8 @@ color monomial (`color_monomial`) that the reference divides out, where the
 program's edge factor carries each color as a bare Schur value.
 Rational-function equality in its former form, cross multiplication after
 cancelling shared factors, is the reference for the zero test of the
-difference.
+difference, and the product in its former form, `_make` over the merged
+steps, the reference for the one that keeps an operand's factor tuple.
 """
 
 from functools import cache
@@ -120,6 +121,18 @@ def reference_rf_equal(a, b):
         if k:
             right = right * one_minus(m) ** k
     return left == right
+
+
+def reference_product(a, b):
+    """a * b for a rational function a and a rational function, Laurent
+    polynomial or number b: the numerators multiplied, over the steps of
+    both merged into one bag and sorted by `_make`, which drops a zero
+    numerator's steps."""
+    a, b = RationalFunction.of(a), RationalFunction.of(b)
+    bag = {}
+    for m, k in a.factors + b.factors:
+        bag[m] = bag.get(m, 0) + k
+    return RationalFunction._make(a.num * b.num, bag)
 
 
 def one_minus(m):

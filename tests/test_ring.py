@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (chain_cancelled, chain_steps, one_minus, reference_expand,
-                     reference_rf_equal, series_multiply)
+                     reference_product, reference_rf_equal, series_multiply)
 from rp3vertex import ring
 from rp3vertex.ring import (_MUL_PACK_WORK, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries,
                             Laurent, QSeries, RationalFunction, _coeff_of, _coeff_str,
@@ -341,6 +341,26 @@ def test_common_factor_leaves_a_sum_in_the_same_representation(values, c):
 @given(rf_values(), rf_values(), rf_values())
 def test_products_reassociate_in_the_same_representation(a, b, c):
     assert same_representation((a * b) * c, a * (b * c))
+
+
+@settings(deadline=None, max_examples=200)
+@given(rf_values(), rf_values(), LAURENTS, COEFFS)
+@example(one / (1 - q), t / (1 - t), Laurent(), 0)
+@example(q / ((1 - q) * (1 - t)), one / (1 - q) ** 2, Laurent({(0, 2): Fraction(1, 2)}),
+         Fraction(-2, 2))
+def test_products_match_the_merged_bag(a, b, p, c):
+    # times a Laurent, a step-free value and a scalar on either side, times
+    # a value with steps, and negated: the numerator and steps of `_make`
+    # over the merged bag, the steps sorted with every k positive
+    free = RationalFunction(p)
+    for x, y in ((a, p), (a, free), (free, a), (a, c), (a, b), (b, a), (a, -1)):
+        got = x * y
+        want = reference_product(x, y)
+        assert (got.num.terms, got.factors) == (want.num.terms, want.factors)
+        assert list(got.factors) == sorted(got.factors)
+        assert all(k > 0 for _m, k in got.factors)
+    assert (p * a).factors == (a * p).factors
+    assert ((-a).num.terms, (-a).factors) == (want.num.terms, want.factors)
 
 
 @st.composite
@@ -674,10 +694,10 @@ def test_lift_matches_the_naive_sum(case):
 
 @pytest.mark.parametrize("size", range(1, 18))
 def test_packed_slots_at_the_bound(size):
-    # the bound sum |num|_1 * 2^need is just under 2^(8 size - 1), so the
-    # slots are exactly size bytes wide
+    # the bound, sum |num|_1 * 2^need over the need groups, c 2^k + c, is
+    # just under 2^(8 size - 1), so the slots are exactly size bytes wide
     for k, m in ((0, (2, 0)), (3, (2, 0)), (5, (1, -1))):
-        c = (2 ** (8 * size - 1) - 1) // (2 * 2 ** k)
+        c = (2 ** (8 * size - 1) - 1) // (2 ** k + 1)
         for sign in (1, -1):
             items = [(Laurent({(0, 0): sign * c}), [k]), (Laurent({(1, 1): sign * c}), [0])]
             assert assert_lift_is_naive(items, [m]) == Laurent.monomial(0, 0, sign * c) \
@@ -693,6 +713,31 @@ def test_packed_slots_at_the_bound(size):
         a, b = {(0, 0): sign, (1, 1): sign}, {(3, -1): d, (4, 0): d}
         assert _mul_packed(a, b).terms == {(3, -1): sign * d, (4, 0): 2 * sign * d,
                                            (5, 1): sign * d}
+
+
+@pytest.mark.parametrize("size", range(2, 18))
+def test_slots_sized_per_need_group(size, monkeypatch):
+    # a large coefficient c that needs no step next to a 1 that needs eight:
+    # the bound c + 2^8 of the two need groups is just under 2^(8 size - 1),
+    # and the sum's constant coefficient c + 1 takes every bit of a slot of
+    # size bytes; the bound (c + 1) 2^8 of the largest need of each step
+    # takes at least one more byte
+    k = 8
+    c = 2 ** (8 * size - 1) - 1 - 2 ** k
+    sizes = []
+    pack = ring._pack
+
+    def recorded(polys, box, width):
+        sizes.append(width)
+        return pack(polys, box, width)
+
+    monkeypatch.setattr(ring, "_pack", recorded)
+    for sign in (1, -1):
+        items = [(Laurent({(0, 0): sign * c}), [0]), (Laurent({(0, 0): sign}), [k])]
+        got = assert_lift_is_naive(items, [(2, 0)])
+        assert got.terms[0, 0] == sign * (c + 1)
+    assert set(sizes) == {size}
+    assert (((c + 1) << k).bit_length() + 8) // 8 > size
 
 
 @pytest.mark.parametrize("size", range(1, 18))
@@ -1128,6 +1173,53 @@ def test_expand_matches_reference(case):
     assert got == expansion(reference_expand, value, q_order)
 
 
+@st.composite
+def shared_denominator_values(draw):
+    """(values over one denominator, q-order).  The denominator holds steps
+    with t exponents of either sign, pure in t or not, up to three times
+    each; each numerator mostly carries the pure-t steps as often, so that
+    they divide exactly."""
+    den = Laurent.const(1)
+    carried = Laurent.const(1)
+    for m in draw(st.lists(EXPAND_STEPS, min_size=1, max_size=3)):
+        mult = draw(st.integers(1, 3))
+        den = den * one_minus(m) ** mult
+        if m[0] == 0 and draw(st.integers(0, 3)):
+            carried = carried * one_minus(m) ** mult
+    values = [RationalFunction(num * carried, den)
+              for num in draw(st.lists(LAURENTS.filter(bool), min_size=2, max_size=4))]
+    return values, draw(st.integers(0, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(shared_denominator_values())
+@example(([RationalFunction(one_minus((0, 2)), one_minus((2, -2)) ** 2 * one_minus((0, 2))),
+           RationalFunction(Laurent({(1, 1): 3}) * one_minus((0, 2)),
+                            one_minus((2, -2)) ** 2 * one_minus((0, 2)))], 0))
+@example(([RationalFunction(one_minus((0, 2)) * Laurent({(0, 0): 1, (2, -4): -2}),
+                            one_minus((0, 2)) * one_minus((4, 2)) ** 3),
+           RationalFunction(Laurent({(3, 1): Fraction(1, 2)}) * one_minus((0, 2)),
+                            one_minus((0, 2)) * one_minus((4, 2)) ** 3)], 5))
+def test_expand_over_a_shared_denominator(case):
+    # the values' series share one memoized inverse series; expanded with
+    # it kept and with it cleared before each value, each series is the
+    # reference one
+    values, q_order = case
+    assert len({v.factors for v in values}) == 1
+    want = [expansion(reference_expand, v, q_order) for v in values]
+    ring._inverse_series.cache_clear()
+    assert [expansion(expand, v, q_order) for v in values] == want
+    assert ring._inverse_series.cache_info().currsize <= 1
+    # one more order is one more memo entry, not the first one's series
+    deeper = expansion(expand, values[0], q_order + 1)
+    assert deeper == expansion(reference_expand, values[0], q_order + 1)
+    got = []
+    for v in values:
+        ring._inverse_series.cache_clear()
+        got.append(expansion(expand, v, q_order))
+    assert got == want
+
+
 def test_expand_mixed_product_factor():
     # (1 - q^(3/2) t^-1)(1 - t^(1/2)) as one polynomial is split into its
     # two steps, the value divided step by step
@@ -1325,6 +1417,28 @@ def test_products_keep_integral_coefficients_ints(a, b):
     got = a * b
     assert got.terms == general_product(a, b).terms
     assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+
+
+FRACTION_SLICES = st.dictionaries(st.integers(-4, 8), st.dictionaries(
+    st.integers(-4, 4), COEFFS, max_size=4), max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(LAURENTS, LAURENTS, FRACTION_SLICES, st.integers(0, 12))
+@example(Laurent({(0, 0): half}), Laurent({(0, 0): half}), {0: {0: Fraction(1), 2: Fraction(3)}},
+         0)
+def test_sums_and_series_keep_integral_coefficients_ints(a, b, slices, order):
+    # a Laurent sum or difference, and a series whose content is 1 (an
+    # integral Fraction among its coefficients too), store an int for each
+    # integral coefficient
+    for got in (a + b, a - b):
+        assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    assert (a + b) - b == a
+    got = canonical_series(slices, order)
+    as_ints = canonical_series({qe: {te: _tighten(Fraction(c)) for te, c in poly.items()}
+                                for qe, poly in slices.items()}, order)
+    assert got == as_ints
+    assert all(type(c) is int for poly in got.coeffs.values() for c in poly.values())
 
 
 # -- bidegree series ---------------------------------------------------------
