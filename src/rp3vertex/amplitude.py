@@ -29,7 +29,13 @@ Conventions fixed here and validated against the display fixtures:
   square-graph series are built so and print the quotient's forms; F0 and
   the F0 G sums serve only raw and colorless series.  The closed rows
   G_closed are cached, one entry per (mode, cutoff), and shared by every
-  normalized series and the colorless raw one.
+  normalized series and the colorless raw one.  G_open is never summed on
+  the normalized path: `series_divide` takes the terms E1 E2 h_n of each
+  open row and adds them to the closed-row products in the one cancelled
+  sum of each quotient coefficient.  That sum's LCM is the one the summed
+  row would give whenever the row's sum is nonzero, so the printed forms
+  are those of dividing the summed rows; a row whose terms cancel to zero
+  would bring steps of its own into the LCM.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -169,7 +175,8 @@ def _box_h(nu1, nu2, n, refined):
 
 
 def _g_rows(alpha, gamma, refined, cutoff):
-    """G(r, n) = sum_{|nu1|+|nu2|=r} E1 E2 h_n(B_w) for r + n <= cutoff."""
+    """The terms E1 E2 h_n(B_w) of each G(r, n), r + n <= cutoff, as one
+    list per (r, n): G(r, n) is their sum over |nu1|+|nu2| = r."""
     g = {}
     for nu1 in enumerate_up_to(cutoff):
         e1 = _edge_brane(alpha, gamma, nu1, refined)
@@ -178,18 +185,22 @@ def _g_rows(alpha, gamma, refined, cutoff):
             edges = e1 * _edge_plain(nu2, refined)
             for n, h in enumerate(_box_h(nu1, nu2, cutoff - r, refined)):
                 g.setdefault((r, n), []).append(edges * h)
+    return g
+
+
+def _summed(g):
     return {rn: RationalFunction.sum_of(v) for rn, v in g.items()}
 
 
 @cache
 def _closed_rows(refined, cutoff):
-    """G_closed: the rows at empty colors, built once per (mode, cutoff)."""
-    return _g_rows(EMPTY, EMPTY, refined, cutoff)
+    """G_closed: the rows at empty colors, summed once per (mode, cutoff)."""
+    return _summed(_g_rows(EMPTY, EMPTY, refined, cutoff))
 
 
 def _open_local(alpha, gamma, refined, cutoff):
     """Z(r, s) = sum_a F0_a G(r, s - a); the colors sit in G alone."""
-    g = (_g_rows(alpha, gamma, refined, cutoff) if alpha or gamma
+    g = (_summed(_g_rows(alpha, gamma, refined, cutoff)) if alpha or gamma
          else _closed_rows(refined, cutoff))
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
         _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) for r, s in g})
@@ -231,7 +242,8 @@ def closed_amplitude(refined, cutoff, geometry="local_p1xp1"):
 
 
 def normalize(open_series, closed_series):
-    """Divide the open amplitude by the closed one, bidegree by bidegree."""
+    """Divide the open amplitude by the closed one, bidegree by bidegree; the
+    open side is a KahlerSeries, or the term lists of `series_divide`."""
     return series_divide(open_series, closed_series)
 
 
@@ -239,11 +251,13 @@ def normalized_amplitude(spec):
     """The normalized invariant: open amplitude over the closed one for the
     same geometry and refinement.  On the square graph F0 cancels, so it is
     G_open / G_closed, where G_closed(0, n) = delta_(n0): the closed
-    ensemble's average of s_alpha(v) s_gamma(v)."""
+    ensemble's average of s_alpha(v) s_gamma(v).  G_open is never summed:
+    the division takes the terms E1 E2 h_n of each row and sums them with
+    the closed-row products in one cancelled sum per coefficient."""
     if spec.geometry == "resolved_conifold":
         return normalize(open_amplitude(spec),
                          closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
     g_open = _g_rows(spec.alpha.conjugate(), spec.gamma.conjugate(), spec.refined,
                      spec.cutoff)
-    return normalize(KahlerSeries(spec.cutoff, g_open),
+    return normalize(g_open,
                      KahlerSeries(spec.cutoff, _closed_rows(spec.refined, spec.cutoff)))

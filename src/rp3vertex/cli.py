@@ -14,7 +14,7 @@ import sys
 
 from .amplitude import AmplitudeSpec, normalized_amplitude, open_amplitude
 from .partitions import parse_partition
-from .ring import ExpansionError, expand, graded
+from .ring import RF_ZERO, ExpansionError, expand, graded
 
 DEFAULT_CUTOFF_CEILING = 4
 
@@ -29,6 +29,39 @@ def emit_text(series):
     lines = []
     for rs in rows:
         lines.append(f"({rs[0]},{rs[1]}): {series.coeffs[rs].text()}")
+    return "\n".join(lines)
+
+
+# one term of a Laurent list in a compute document, at its nesting depth
+_JSON_TERM = ('      {{\n       "den": "{}",\n       "ex": {},\n       "ey": {},\n'
+              '       "num": "{}"\n      }}')
+
+
+def _json_terms(poly):
+    """Laurent.to_json of poly as json.dumps indents it in a compute
+    document; an int's numerator is itself, over denominator 1."""
+    if not poly.terms:
+        return "[]"
+    return "[\n" + ",\n".join([_JSON_TERM.format(c.denominator, eq, et, c.numerator)
+                                for (eq, et), c in poly.sorted_terms()]) + "\n     ]"
+
+
+def emit_json(head, series):
+    """json.dumps(dict(head, series=series.to_json()), indent=1,
+    sort_keys=True), written straight from the series: every key of head
+    sorts before "series", and each determined bidegree follows in graded
+    order with its coefficient's num and den terms.  No dict tree is built
+    and no encoder walks one."""
+    lines = ["{"] + [f" {json.dumps(k)}: {json.dumps(head[k])}," for k in sorted(head)]
+    lines.append(f' "series": {{\n  "cutoff": {series.cutoff},')
+    entries = []
+    for r, s in graded(series.determined):
+        rf = series.coeffs.get((r, s), RF_ZERO)
+        entries.append(f'   {{\n    "coeff": {{\n     "den": {_json_terms(rf.den)},\n'
+                       f'     "num": {_json_terms(rf.num)}\n    }},\n'
+                       f'    "r": {r},\n    "s": {s}\n   }}')
+    lines.append('  "terms": ' + ("[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"))
+    lines.append(" }\n}")
     return "\n".join(lines)
 
 
@@ -75,15 +108,14 @@ def cmd_compute(args, parser):
     spec = _spec_from_args(args)
     series, normalized = _series(spec, args.raw)
     if args.output == "json":
-        doc = {
+        head = {
             "command": "compute",
             "geometry": spec.geometry,
             "alpha": str(spec.alpha), "gamma": str(spec.gamma),
             "refined": spec.refined, "cutoff": spec.cutoff,
             "normalized": normalized,
-            "series": series.to_json(),
         }
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(emit_json(head, series))
     else:
         print(emit_text(series))
     return 0

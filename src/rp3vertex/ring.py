@@ -117,10 +117,12 @@ class Laurent:
 
     @staticmethod
     def const(c):
-        return Laurent({(0, 0): c} if c else {})
+        return Laurent.monomial(0, 0, c)
 
     @staticmethod
     def monomial(eq, et, c=1):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {c!r} is a {type(c).__name__}, not an int or Fraction")
         return Laurent({(eq, et): c} if c else {})
 
     # -- predicates --------------------------------------------------------
@@ -803,7 +805,10 @@ class RationalFunction:
             return value
         if isinstance(value, Laurent):
             return RationalFunction(value)
-        return RationalFunction(Laurent.const(value))
+        if isinstance(value, (int, Fraction)):
+            return RationalFunction(Laurent.const(value))
+        raise TypeError(f"{value!r} is a {type(value).__name__}, not an int, Fraction, "
+                        "Laurent or RationalFunction")
 
     @staticmethod
     def monomial(eq, et, c=1):
@@ -1268,6 +1273,9 @@ class KahlerSeries(namedtuple("KahlerSeries", "cutoff coeffs determined")):
             determined = {(r, s) for r in range(cutoff + 1)
                           for s in range(cutoff + 1 - r)}
         determined = frozenset(determined)
+        for rs in determined:
+            if min(rs) < 0 or sum(rs) > cutoff:
+                raise ValueError(f"bidegree {rs} outside cutoff {cutoff}")
         missing = set(clean) - determined
         if missing:
             raise ValueError(f"nonzero coefficients outside determined set: {missing}")
@@ -1356,10 +1364,16 @@ def _splits(rs):
 
 def series_divide(num, den):
     """Bidegree-by-bidegree division; den must have an invertible constant
-    term.  A quotient bidegree is determined when the numerator one is and
+    term.  num is a KahlerSeries, or a dict that maps each bidegree the
+    numerator determines, at den's cutoff, to a list of values whose sum is
+    its coefficient; each quotient coefficient is then one sum of those
+    values and the lower products, so the numerator's own sums are never
+    built.  A quotient bidegree is determined when the numerator one is and
     every lower denominator bidegree it pulls in is."""
-    if num.cutoff != den.cutoff:
-        raise ValueError("mismatched cutoffs")
+    if isinstance(num, KahlerSeries):
+        if num.cutoff != den.cutoff:
+            raise ValueError("mismatched cutoffs")
+        num = {rs: [num.coeffs[rs]] if rs in num.coeffs else [] for rs in num.determined}
     if (0, 0) not in den.determined:
         raise ZeroDivisionError("denominator series has no determined constant term")
     lead = den.coeffs.get((0, 0))
@@ -1368,16 +1382,16 @@ def series_divide(num, den):
     lead_is_one = lead.is_one()
     quo = {}
     determined = set()
-    for d in range(num.cutoff + 1):
+    for d in range(den.cutoff + 1):
         for r in range(d + 1):
             rs = (r, d - r)
-            if rs in num.determined and all(
+            if rs in num and all(
                     u in den.determined and v in determined
                     for u, v in _splits(rs) if u != (0, 0)):
                 determined.add(rs)
             else:
                 continue
-            terms = [num.coeffs[rs]] if rs in num.coeffs else []
+            terms = list(num[rs])
             for (r1, s1), c1 in den.coeffs.items():
                 if (r1, s1) == (0, 0):
                     continue
@@ -1392,4 +1406,4 @@ def series_divide(num, den):
                 total = (total / lead).cancelled()
             if not total.is_zero():
                 quo[rs] = total
-    return KahlerSeries(num.cutoff, quo, determined)
+    return KahlerSeries(den.cutoff, quo, determined)

@@ -4,7 +4,8 @@ import pytest
 
 from rp3vertex import amplitude, partitions, ring, specialize, vertex
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
-                                 _fiber0, _g_rows, closed_amplitude, normalize,
+                                 _closed_rows, _fiber0, _g_rows, _summed, closed_amplitude,
+                                 normalize,
                                  normalized_amplitude, open_amplitude)
 from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                                   partitions_of)
@@ -307,7 +308,7 @@ def test_normalized_is_the_g_row_quotient(refined, cutoff):
     # normalized series divides the G rows; it must equal the division of
     # the full amplitudes, coefficient by coefficient
     from rp3vertex.analysis import CONJECTURE_COLORS, STRUCTURE_CASES
-    rows = _g_rows(EMPTY, EMPTY, refined, cutoff)
+    rows = _closed_rows(refined, cutoff)
     assert rows[0, 0].is_one()
     assert all(rows[0, n].is_zero() for n in range(1, cutoff + 1))
     closed = closed_amplitude(refined, cutoff)
@@ -321,6 +322,52 @@ def test_normalized_is_the_g_row_quotient(refined, cutoff):
         assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
         for rs, coeff in want.coeffs.items():
             assert got.coeffs[rs] == coeff, (alpha, gamma, rs)
+
+
+# the colors of the benchmark pools (perfbench/run.py), by mode
+POOL_COLORS = {False: [("[1]", "[1,1]"), ("[1,1,1]", "[]")],
+               True: [("[1,1,1]", "[]"), ("[3]", "[]")]}
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_division_of_the_open_terms_keeps_every_form(refined):
+    # normalized_amplitude hands series_divide the terms E1 E2 h_n of each
+    # open row, never their sum; every quotient must keep the numerator and
+    # factor tuple, so the printed form, of the division of the summed rows:
+    # the suite's series at DEEP_CUTOFF and the pools' colors at cutoff 4
+    from rp3vertex.analysis import CONJECTURE_COLORS, DEEP_CUTOFF
+    cases = dict.fromkeys([(colors, DEEP_CUTOFF) for colors in CONJECTURE_COLORS]
+                          + [(colors, 4) for colors in POOL_COLORS[refined]])
+    for (alpha, gamma), cutoff in cases:
+        terms = _g_rows(parse_partition(alpha).conjugate(), parse_partition(gamma).conjugate(),
+                        refined, cutoff)
+        closed = KahlerSeries(cutoff, _closed_rows(refined, cutoff))
+        got = normalize(terms, closed)
+        want = normalize(KahlerSeries(cutoff, _summed(terms)), closed)
+        assert got.determined == want.determined, (alpha, gamma)
+        assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
+        for rs, coeff in want.coeffs.items():
+            assert got.coeffs[rs].num.terms == coeff.num.terms, (alpha, gamma, rs)
+            assert got.coeffs[rs].factors == coeff.factors, (alpha, gamma, rs)
+
+
+def test_division_of_terms_that_sum_to_zero():
+    # the forms agree because the LCM of the open terms is that of their sum
+    # when the sum is nonzero, and the cancelled quotient is fixed by its
+    # value and that LCM.  Terms that sum to zero, x and -x, still bring
+    # their steps into the LCM: the quotient keeps its value, but here also
+    # a step that the division of the summed row cancels.  No open row of
+    # the 7 alphas x 3 gammas of tools/stdout_digests.py sums to zero at
+    # cutoff 4 in either mode (600 rows), and the test above pins the forms
+    x = 1 / (1 - q * q)
+    closed = KahlerSeries(1, {(0, 0): one, (1, 0): -1 / (1 - q)})
+    got = normalize({(0, 0): [one], (1, 0): [x, -x], (0, 1): []}, closed)
+    want = normalize(KahlerSeries(1, {(0, 0): one}), closed)
+    assert got.determined == want.determined
+    assert got.coeffs[1, 0] == want.coeffs[1, 0] == 1 / (1 - q)
+    assert want.coeffs[1, 0].factors == (((2, 0), 1),)
+    assert got.coeffs[1, 0].factors == (((4, 0), 1),)
+    assert got.coeffs[1, 0].num == (1 + q).num
 
 
 @pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])

@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rp3vertex.cli import main
-from rp3vertex.ring import KahlerSeries
+from rp3vertex.cli import _series, _spec_from_args, build_parser, emit_json, main
+from rp3vertex.ring import KahlerSeries, Laurent, RationalFunction
 from rp3vertex.analysis import fixtures_dir_default
 
 
@@ -51,6 +53,67 @@ def test_compute_json_roundtrip(capsys):
     again = normalized_amplitude(AmplitudeSpec(alpha=Partition([1]),
                                                refined=True, cutoff=2))
     assert series.equal_through(again, 2) is None
+
+
+def dumped(head, series):
+    """What emit_json must equal: the document as a dict tree, dumped."""
+    return json.dumps(dict(head, series=series.to_json()), indent=1, sort_keys=True)
+
+
+COEFFS = st.one_of(st.integers(-40, 40),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=7))
+NUMS = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), COEFFS,
+                       max_size=5).map(Laurent)
+STEPS = st.lists(st.sampled_from([(2, 0), (0, 2), (1, 1), (4, -2), (2, 2)]), max_size=3)
+
+
+@st.composite
+def compute_documents(draw):
+    """A compute header and a series: Fraction and negative coefficients,
+    negative exponents, zeros at determined bidegrees (an empty numerator),
+    and a determined set that is every bidegree or any subset, the
+    single-edge axis among them, at cutoffs from 0."""
+    cutoff = draw(st.integers(0, 3))
+    cells = [(r, s) for r in range(cutoff + 1) for s in range(cutoff + 1 - r)]
+    determined = draw(st.one_of(st.none(), st.just([(r, 0) for r in range(cutoff + 1)]),
+                                st.sets(st.sampled_from(cells))))
+    coeffs = {}
+    for rs in cells if determined is None else determined:
+        rf = RationalFunction(draw(NUMS))
+        for m in draw(STEPS):
+            rf = rf / RationalFunction(Laurent({(0, 0): 1, m: -1}))
+        coeffs[rs] = rf
+    head = {"command": "compute", "geometry": "local_p1xp1",
+            "alpha": draw(st.sampled_from(["[]", "[2,1]"])), "gamma": "[1]",
+            "refined": draw(st.booleans()), "cutoff": cutoff,
+            "normalized": draw(st.booleans())}
+    return head, KahlerSeries(cutoff, coeffs, determined)
+
+
+@settings(deadline=None, max_examples=200)
+@given(compute_documents())
+def test_json_writer_matches_the_dumped_document(doc):
+    head, series = doc
+    assert emit_json(head, series) == dumped(head, series)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "[2,1]", "--gamma", "[1]"],
+    ["--alpha", "[1]", "--gamma", "[1]", "--raw"],
+    ["--geometry", "resolved-conifold", "--alpha", "[1]", "--gamma", "[1,1]"],
+    ["--refined", "--alpha", "[1,1]", "--gamma", "[1]"],
+], ids=["colored", "raw", "single-edge", "refined"])
+def test_compute_json_is_the_dumped_document(capsys, flags):
+    argv = ["compute", "--output", "json", "--cutoff", "3", *flags]
+    args = build_parser().parse_args(argv)
+    spec = _spec_from_args(args)
+    series, normalized = _series(spec, args.raw)
+    head = {"command": "compute", "geometry": spec.geometry,
+            "alpha": str(spec.alpha), "gamma": str(spec.gamma),
+            "refined": spec.refined, "cutoff": spec.cutoff, "normalized": normalized}
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == dumped(head, series) + "\n"
 
 
 def test_byte_identical_reruns(capsys):

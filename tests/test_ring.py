@@ -1565,6 +1565,39 @@ def test_kahler_json_roundtrip():
     assert back.equal_through(z, 2) is None
 
 
+def test_determined_bidegrees_lie_within_the_cutoff():
+    # a determined bidegree beyond the cutoff, or with a negative index,
+    # would be written by to_json in a document its own from_json refuses
+    for cutoff, determined, bad in [(2, {(0, 0), (5, 5)}, (5, 5)),
+                                    (2, {(0, 0), (0, 3)}, (0, 3)),
+                                    (1, {(-1, 1)}, (-1, 1))]:
+        with pytest.raises(ValueError) as err:
+            KahlerSeries(cutoff, {}, determined)
+        assert str(err.value) == f"bidegree {bad} outside cutoff {cutoff}"
+    # every series the constructor accepts round-trips through its JSON
+    for cutoff, determined in [(2, {(0, 0), (0, 2), (2, 0)}), (0, {(0, 0)}), (3, set()),
+                               (3, {(r, 0) for r in range(4)})]:
+        z = KahlerSeries(cutoff, {rs: q for rs in sorted(determined)[:1]}, determined)
+        back = KahlerSeries.from_json(json.loads(json.dumps(z.to_json())))
+        assert back == z
+
+
+def test_values_of_other_types_are_refused():
+    # an object of another type used to be stored as a constant, and failed
+    # far from its cause, or was zero (None)
+    for build in (lambda: RationalFunction.monomial(2, 0) * 1.5,
+                  lambda: RationalFunction.sum_of([q, 0.5]),
+                  lambda: KahlerSeries(2, {(0, 0): "x"}),
+                  lambda: RationalFunction.of(None),
+                  lambda: Laurent.const(None),
+                  lambda: Laurent.const(0.0),
+                  lambda: Laurent.monomial(1, 0, "2")):
+        with pytest.raises(TypeError):
+            build()
+    assert RationalFunction.of(Fraction(1, 2)) == RationalFunction.of(Laurent.const(Fraction(1, 2)))
+    assert RationalFunction.of(0).is_zero() and Laurent.monomial(1, 0, 0).is_zero()
+
+
 def test_series_determinedness_propagation():
     # axis-only series (one-parameter geometry): quotient stays axis-only
     axis = {(r, 0) for r in range(4)}
