@@ -27,15 +27,24 @@ Conventions fixed here and validated against the display fixtures:
   so F0 cancels from the normalized invariant: Z_open / Z_closed =
   G_open / G_closed, with G_closed(0,n) = delta_(n0).  Normalized
   square-graph series are built so and print the quotient's forms; F0 and
-  the F0 G sums serve only raw and colorless series.  The closed rows
-  G_closed are cached, one entry per (mode, cutoff), and shared by every
-  normalized series and the colorless raw one.  G_open is never summed on
-  the normalized path: `series_divide` takes the terms E1 E2 h_n of each
-  open row and adds them to the closed-row products in the one cancelled
-  sum of each quotient coefficient.  That sum's LCM is the one the summed
-  row would give whenever the row's sum is nonzero, so the printed forms
-  are those of dividing the summed rows; a row whose terms cancel to zero
-  would bring steps of its own into the LCM.
+  the F0 G sums serve only raw and colorless series, which build every row.
+* At Q_f^0 the fiber legs decouple: h_0 = 1, so G(., 0) = A B in Q_b with
+  A_a the sum of E1 over |nu1| = a and B_b that of E2 over |nu2| = b.  B
+  is color-free and cancels, so the pure-base slice is the one-edge
+  quotient A_open / A_closed: the nu1 ensemble's average of
+  s_alpha(v) s_gamma(v).  The normalized path divides the slice so, and
+  seeds with it the division of the G rows for s >= 1, which reads only
+  rows with r < cutoff: no pair of base edges at the cutoff and no open
+  row at n = 0 is built.  A_closed and those closed rows are cached, one
+  entry per (mode, cutoff).  G_open is never summed: `series_divide`
+  takes the open terms, E1 for the slice and E1 E2 h_n for the rows, and
+  adds them to the closed products in the one cancelled sum of each
+  quotient coefficient.  That sum's LCM is the one the summed row would
+  give whenever the row's sum is nonzero, so the printed forms are those
+  of dividing the summed rows; a row whose terms cancel to zero would
+  bring steps of its own into the LCM.  The slice identity fixes values
+  only; its forms match the one division of every G row wherever the
+  tests compare them.
 * There is one table of refined blocks.  The one-parameter mode is the
   refinement at t = q, taken leaf by leaf before any product: monomials,
   alphabets, hook products and framings are specialized (and cached) one
@@ -174,18 +183,35 @@ def _box_h(nu1, nu2, n, refined):
     return tuple(finite_h(letters if refined else [(eq + et, 0) for eq, et in letters], n))
 
 
-def _g_rows(alpha, gamma, refined, cutoff):
-    """The terms E1 E2 h_n(B_w) of each G(r, n), r + n <= cutoff, as one
-    list per (r, n): G(r, n) is their sum over |nu1|+|nu2| = r."""
+def _brane_edges(alpha, gamma, refined, cutoff):
+    """E1(alpha, gamma, nu1) of every nu1 with |nu1| <= cutoff."""
+    return {nu1: _edge_brane(alpha, gamma, nu1, refined) for nu1 in enumerate_up_to(cutoff)}
+
+
+def _g_rows(edges, refined, cutoff, top=None, lowest=0):
+    """The terms E1 E2 h_n(B_w) of each G(r, n) with r + n <= cutoff, r <= top
+    (the cutoff when None) and n >= lowest, as one list per (r, n), with E1
+    read from edges, which maps each nu1 to it: G(r, n) is their sum over
+    |nu1|+|nu2| = r."""
+    if top is None:
+        top = cutoff - lowest
     g = {}
-    for nu1 in enumerate_up_to(cutoff):
-        e1 = _edge_brane(alpha, gamma, nu1, refined)
-        for nu2 in enumerate_up_to(cutoff - nu1.size):
+    for nu1, e1 in edges.items():
+        for nu2 in enumerate_up_to(top - nu1.size):
             r = nu1.size + nu2.size
-            edges = e1 * _edge_plain(nu2, refined)
-            for n, h in enumerate(_box_h(nu1, nu2, cutoff - r, refined)):
-                g.setdefault((r, n), []).append(edges * h)
+            edge = e1 * _edge_plain(nu2, refined)
+            hs = _box_h(nu1, nu2, cutoff - r, refined)
+            for n in range(lowest, cutoff - r + 1):
+                g.setdefault((r, n), []).append(edge * hs[n])
     return g
+
+
+def _slice_terms(edges):
+    """The terms E1 of each A_a, the sum over |nu1| = a, at bidegree (a, 0)."""
+    terms = {}
+    for nu1, e1 in edges.items():
+        terms.setdefault((nu1.size, 0), []).append(e1)
+    return terms
 
 
 def _summed(g):
@@ -194,14 +220,20 @@ def _summed(g):
 
 @cache
 def _closed_rows(refined, cutoff):
-    """G_closed: the rows at empty colors, summed once per (mode, cutoff)."""
-    return _summed(_g_rows(EMPTY, EMPTY, refined, cutoff))
+    """The closed denominators of the normalized series, built once per
+    (mode, cutoff): A_closed, the nu1 sums of E1 at empty colors, for the
+    s = 0 slice, and the rows G_closed(r, n) with r < cutoff for the rest."""
+    edges = {nu1: _edge_closed(nu1, refined) for nu1 in enumerate_up_to(cutoff)}
+    a = _summed(_slice_terms(edges))
+    rows = _summed(_g_rows(edges, refined, cutoff, top=cutoff - 1))
+    return (KahlerSeries(cutoff, a, set(a)),
+            KahlerSeries(cutoff, rows, {(r, n) for r in range(cutoff)
+                                        for n in range(cutoff + 1 - r)}))
 
 
 def _open_local(alpha, gamma, refined, cutoff):
     """Z(r, s) = sum_a F0_a G(r, s - a); the colors sit in G alone."""
-    g = (_summed(_g_rows(alpha, gamma, refined, cutoff)) if alpha or gamma
-         else _closed_rows(refined, cutoff))
+    g = _summed(_g_rows(_brane_edges(alpha, gamma, refined, cutoff), refined, cutoff))
     return KahlerSeries(cutoff, {(r, s): RationalFunction.sum_of(
         _fiber0(a, refined) * g[r, s - a] for a in range(s + 1)) for r, s in g})
 
@@ -241,23 +273,29 @@ def closed_amplitude(refined, cutoff, geometry="local_p1xp1"):
     return open_amplitude(spec)
 
 
-def normalize(open_series, closed_series):
+def normalize(open_series, closed_series, seed=None):
     """Divide the open amplitude by the closed one, bidegree by bidegree; the
-    open side is a KahlerSeries, or the term lists of `series_divide`."""
-    return series_divide(open_series, closed_series)
+    open side is a KahlerSeries, or the term lists of `series_divide`, and
+    seed holds quotient bidegrees already known."""
+    return series_divide(open_series, closed_series, seed)
 
 
 def normalized_amplitude(spec):
     """The normalized invariant: open amplitude over the closed one for the
     same geometry and refinement.  On the square graph F0 cancels, so it is
-    G_open / G_closed, where G_closed(0, n) = delta_(n0): the closed
-    ensemble's average of s_alpha(v) s_gamma(v).  G_open is never summed:
-    the division takes the terms E1 E2 h_n of each row and sums them with
-    the closed-row products in one cancelled sum per coefficient."""
+    G_open / G_closed, the closed ensemble's average of s_alpha(v)
+    s_gamma(v).  At Q_f^0 the nu2 sums cancel too, so the pure-base slice
+    is A_open / A_closed, the nu1 ensemble's average of s_alpha(v)
+    s_gamma(v); the division of the G rows, seeded with it, makes the rest
+    from the rows below the cutoff (see the module docstring)."""
     if spec.geometry == "resolved_conifold":
         return normalize(open_amplitude(spec),
                          closed_amplitude(spec.refined, spec.cutoff, spec.geometry))
-    g_open = _g_rows(spec.alpha.conjugate(), spec.gamma.conjugate(), spec.refined,
-                     spec.cutoff)
-    return normalize(g_open,
-                     KahlerSeries(spec.cutoff, _closed_rows(spec.refined, spec.cutoff)))
+    alpha, gamma = spec.alpha.conjugate(), spec.gamma.conjugate()
+    refined, cutoff = spec.refined, spec.cutoff
+    edges = _brane_edges(alpha, gamma, refined, cutoff)
+    a_closed, g_closed = _closed_rows(refined, cutoff)
+    zhat = series_divide(_slice_terms(edges), a_closed)
+    if not cutoff:
+        return zhat
+    return normalize(_g_rows(edges, refined, cutoff, lowest=1), g_closed, zhat)

@@ -1362,14 +1362,22 @@ def _splits(rs):
             yield (a, b), (r - a, s - b)
 
 
-def series_divide(num, den):
+def series_divide(num, den, seed=None):
     """Bidegree-by-bidegree division; den must have an invertible constant
     term.  num is a KahlerSeries, or a dict that maps each bidegree the
     numerator determines, at den's cutoff, to a list of values whose sum is
     its coefficient; each quotient coefficient is then one sum of those
     values and the lower products, so the numerator's own sums are never
     built.  A quotient bidegree is determined when the numerator one is and
-    every lower denominator bidegree it pulls in is."""
+    every lower denominator bidegree it pulls in is.
+
+    seed, a KahlerSeries at den's cutoff, seeds the division with quotient
+    bidegrees known beforehand: each bidegree seed determines counts as a
+    determined quotient bidegree with seed's coefficient, is never computed
+    (num need not hold it), and is read by the bidegrees above it as a
+    computed one would be.  The rest are divided as without a seed, and a
+    bidegree that pulls in an undetermined denominator bidegree stays
+    undetermined whatever the seed holds."""
     if isinstance(num, KahlerSeries):
         if num.cutoff != den.cutoff:
             raise ValueError("mismatched cutoffs")
@@ -1379,12 +1387,16 @@ def series_divide(num, den):
     lead = den.coeffs.get((0, 0))
     if lead is None or lead.is_zero():
         raise ZeroDivisionError("denominator series has zero constant term")
+    if seed is not None and seed.cutoff != den.cutoff:
+        raise ValueError("mismatched cutoffs")
     lead_is_one = lead.is_one()
-    quo = {}
-    determined = set()
+    quo = dict(seed.coeffs) if seed is not None else {}
+    determined = set(seed.determined) if seed is not None else set()
     for d in range(den.cutoff + 1):
         for r in range(d + 1):
             rs = (r, d - r)
+            if rs in determined:
+                continue
             if rs in num and all(
                     u in den.determined and v in determined
                     for u, v in _splits(rs) if u != (0, 0)):

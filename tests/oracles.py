@@ -25,14 +25,20 @@ Rational-function equality in its former form, cross multiplication after
 cancelling shared factors, is the reference for the zero test of the
 difference, and the product in its former form, `_make` over the merged
 steps, the reference for the one that keeps an operand's factor tuple.
+The normalized square-graph series in its former form, one division of
+every G row, the pure-base slice and the pairs of base edges at the
+cutoff included, is the reference for the one that divides the slice as
+A_open / A_closed over the nu1 ensemble and seeds the rest with it.
 """
 
 from functools import cache
 
-from rp3vertex.amplitude import _framing, _mono, _p_at_rho, _schur, _tilde_z
+from rp3vertex.amplitude import (_brane_edges, _framing, _g_rows, _mono, _p_at_rho, _schur,
+                                 _summed, _tilde_z)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
 from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
-                            QSeries, RationalFunction, _splits, canonical_series)
+                            QSeries, RationalFunction, _splits, canonical_series,
+                            series_divide)
 
 
 def hook(nu, i, j):
@@ -559,3 +565,19 @@ def reference_fiber(nu1, nu2, s, refined):
     return RationalFunction.sum_of(
         _mono(2 * k - s, s - 2 * k, refined) * reference_cauchy(nu1, nu2, k, refined)
         * reference_cauchy(nu1, nu2, s - k, refined) for k in range(s + 1))
+
+
+def full_g_rows(alpha, gamma, refined, cutoff):
+    """The open terms E1 E2 h_n of every G(r, n), r + n <= cutoff, for
+    internal (conjugated) colors, and the closed rows summed into a series:
+    every row, the s = 0 slice and the top pairs included."""
+    closed = _summed(_g_rows(_brane_edges(EMPTY, EMPTY, refined, cutoff), refined, cutoff))
+    return (_g_rows(_brane_edges(alpha, gamma, refined, cutoff), refined, cutoff),
+            KahlerSeries(cutoff, closed))
+
+
+def reference_normalized(spec):
+    """The normalized square-graph series as one division of the open G
+    rows' terms by the closed rows, slice and all."""
+    return series_divide(*full_g_rows(spec.alpha.conjugate(), spec.gamma.conjugate(),
+                                      spec.refined, spec.cutoff))

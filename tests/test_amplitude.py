@@ -4,8 +4,7 @@ import pytest
 
 from rp3vertex import amplitude, partitions, ring, specialize, vertex
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
-                                 _closed_rows, _fiber0, _g_rows, _summed, closed_amplitude,
-                                 normalize,
+                                 _closed_rows, _fiber0, _summed, closed_amplitude, normalize,
                                  normalized_amplitude, open_amplitude)
 from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                                   partitions_of)
@@ -308,9 +307,9 @@ def test_normalized_is_the_g_row_quotient(refined, cutoff):
     # normalized series divides the G rows; it must equal the division of
     # the full amplitudes, coefficient by coefficient
     from rp3vertex.analysis import CONJECTURE_COLORS, STRUCTURE_CASES
-    rows = _closed_rows(refined, cutoff)
-    assert rows[0, 0].is_one()
-    assert all(rows[0, n].is_zero() for n in range(1, cutoff + 1))
+    slice_, rows = _closed_rows(refined, cutoff)
+    assert slice_.coeff(0, 0).is_one() and rows.coeff(0, 0).is_one()
+    assert all(rows.coeff(0, n).is_zero() for n in range(1, cutoff + 1))
     closed = closed_amplitude(refined, cutoff)
     colors = dict.fromkeys(CONJECTURE_COLORS + [(a, g) for a, g, _ in STRUCTURE_CASES])
     for alpha, gamma in colors:
@@ -329,26 +328,82 @@ POOL_COLORS = {False: [("[1]", "[1,1]"), ("[1,1,1]", "[]")],
                True: [("[1,1,1]", "[]"), ("[3]", "[]")]}
 
 
+def _form_cases(refined):
+    """The suite's series at DEEP_CUTOFF and the pools' colors at cutoff 4."""
+    from rp3vertex.analysis import CONJECTURE_COLORS, DEEP_CUTOFF
+    return dict.fromkeys([(colors, DEEP_CUTOFF) for colors in CONJECTURE_COLORS]
+                         + [(colors, 4) for colors in POOL_COLORS[refined]])
+
+
+def _same_forms(got, want, case):
+    """Equal determined sets, and every coefficient with the numerator and
+    factor tuple, so the printed form, of the reference's."""
+    assert got.determined == want.determined, case
+    assert got.coeffs.keys() == want.coeffs.keys(), case
+    for rs, coeff in want.coeffs.items():
+        assert got.coeffs[rs].num.terms == coeff.num.terms, (case, rs)
+        assert got.coeffs[rs].factors == coeff.factors, (case, rs)
+
+
 @pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
 def test_division_of_the_open_terms_keeps_every_form(refined):
-    # normalized_amplitude hands series_divide the terms E1 E2 h_n of each
-    # open row, never their sum; every quotient must keep the numerator and
-    # factor tuple, so the printed form, of the division of the summed rows:
-    # the suite's series at DEEP_CUTOFF and the pools' colors at cutoff 4
-    from rp3vertex.analysis import CONJECTURE_COLORS, DEEP_CUTOFF
-    cases = dict.fromkeys([(colors, DEEP_CUTOFF) for colors in CONJECTURE_COLORS]
-                          + [(colors, 4) for colors in POOL_COLORS[refined]])
-    for (alpha, gamma), cutoff in cases:
-        terms = _g_rows(parse_partition(alpha).conjugate(), parse_partition(gamma).conjugate(),
-                        refined, cutoff)
-        closed = KahlerSeries(cutoff, _closed_rows(refined, cutoff))
-        got = normalize(terms, closed)
-        want = normalize(KahlerSeries(cutoff, _summed(terms)), closed)
-        assert got.determined == want.determined, (alpha, gamma)
-        assert got.coeffs.keys() == want.coeffs.keys(), (alpha, gamma)
-        for rs, coeff in want.coeffs.items():
-            assert got.coeffs[rs].num.terms == coeff.num.terms, (alpha, gamma, rs)
-            assert got.coeffs[rs].factors == coeff.factors, (alpha, gamma, rs)
+    # the division takes the terms E1 E2 h_n of each open row, never their
+    # sum; every quotient must keep the numerator and factor tuple, so the
+    # printed form, of the division of the summed rows
+    from oracles import full_g_rows
+    for (alpha, gamma), cutoff in _form_cases(refined):
+        terms, closed = full_g_rows(parse_partition(alpha).conjugate(),
+                                    parse_partition(gamma).conjugate(), refined, cutoff)
+        _same_forms(normalize(terms, closed),
+                    normalize(KahlerSeries(cutoff, _summed(terms)), closed), (alpha, gamma))
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_pure_base_slice_keeps_every_form(refined):
+    # at Q_f^0 the slice is A_open / A_closed over the nu1 ensemble, since
+    # the nu2 sums B cancel; that fixes the values only, so every slice
+    # coefficient (r, 0), and every coefficient the seeded division builds
+    # on them, must keep the form of the former division of all G rows
+    from oracles import reference_normalized
+    for (alpha, gamma), cutoff in _form_cases(refined):
+        spec = AmplitudeSpec(alpha=parse_partition(alpha), gamma=parse_partition(gamma),
+                             refined=refined, cutoff=cutoff)
+        got = normalized_amplitude(spec)
+        assert {rs for rs in got.determined if rs[1] == 0} == {(r, 0) for r in range(cutoff + 1)}
+        _same_forms(got, reference_normalized(spec), (alpha, gamma))
+
+
+@pytest.mark.parametrize("refined,cutoff,pairs", [(False, 8, 249), (True, 6, 74)],
+                         ids=["regular", "refined"])
+def test_normalized_builds_no_pair_at_the_cutoff(monkeypatch, refined, cutoff, pairs):
+    # the seeded division reads only G rows with r < cutoff, and the slice
+    # replaces every open row at n = 0: of the 434 (regular, cutoff 8) and
+    # 139 (refined, cutoff 6) pairs of base edges |nu1| + |nu2| <= cutoff,
+    # the closed and the open rows each build the 249 and 74 below it
+    pair_sizes, rows = [], []
+    box_h, g_rows = amplitude._box_h, amplitude._g_rows
+
+    def counting_box_h(nu1, nu2, n, refined):
+        pair_sizes.append(nu1.size + nu2.size)
+        return box_h(nu1, nu2, n, refined)
+
+    def counting_rows(*args, **kwargs):
+        rows.append(g_rows(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(amplitude, "_box_h", counting_box_h)
+    monkeypatch.setattr(amplitude, "_g_rows", counting_rows)
+    amplitude._closed_rows.cache_clear()
+    normalized_amplitude(AmplitudeSpec(alpha=BOX, gamma=Partition([1, 1]), refined=refined,
+                                       cutoff=cutoff))
+    assert len(pair_sizes) == 2 * pairs and max(pair_sizes) == cutoff - 1
+    closed, opened = rows
+    assert set(closed) == {(r, n) for r in range(cutoff) for n in range(cutoff + 1 - r)}
+    assert set(opened) == {(r, n) for r in range(cutoff) for n in range(1, cutoff + 1 - r)}
+    # the raw series keeps every row, the top pairs included
+    pair_sizes.clear()
+    open_amplitude(AmplitudeSpec(alpha=BOX, refined=refined, cutoff=4))
+    assert max(pair_sizes) == 4
 
 
 def test_division_of_terms_that_sum_to_zero():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -247,13 +248,12 @@ def test_suite_filter_computes_only_selected(monkeypatch):
 
 def test_suite_table_order_and_single_normalization(monkeypatch):
     built, normalized = _count_builds(monkeypatch)
-    closed = []
+    rows = []
     g_rows = amplitude._g_rows
 
-    def counting_rows(alpha, gamma, refined, cutoff):
-        if not (alpha or gamma):
-            closed.append((refined, cutoff))
-        return g_rows(alpha, gamma, refined, cutoff)
+    def counting_rows(edges, refined, cutoff, top=None, lowest=0):
+        rows.append((refined, cutoff, top, lowest))
+        return g_rows(edges, refined, cutoff, top, lowest)
 
     monkeypatch.setattr(amplitude, "_g_rows", counting_rows)
     amplitude._closed_rows.cache_clear()
@@ -271,8 +271,11 @@ def test_suite_table_order_and_single_normalization(monkeypatch):
     assert sorted(spec.cutoff for spec in normalized) == [3] + [4] * 14
     assert [(spec.alpha, spec.gamma, spec.refined, spec.cutoff) for spec in built] == [
         (EMPTY, EMPTY, True, 3)]
-    # the closed G rows are built once per (mode, cutoff)
-    assert sorted(closed) == [(False, 4), (True, 3), (True, 4)]
+    # each normalized square-graph series builds its open rows from n = 1
+    # up, and the closed rows below the cutoff it divides by are built once
+    # per (mode, cutoff); the raw closed series builds every row
+    assert Counter(rows) == {(False, 4, None, 1): 7, (True, 4, None, 1): 7,
+                             (False, 4, 3, 0): 1, (True, 4, 3, 0): 1, (True, 3, None, 0): 1}
 
 
 def test_suite_depth_follows_the_selection(monkeypatch):

@@ -840,8 +840,9 @@ def test_compute_sums_match_the_naive_sum(monkeypatch):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    # the normalized series divides the G rows and makes 96 sums; the raw
-    # one (--raw) also makes the F0 * G sums, 179 sums in all
+    # the normalized series divides its slice and the G rows in 65 lifting
+    # sums; the raw one (--raw) also lifts every row and the F0 * G sums,
+    # 165 in all
     spec = AmplitudeSpec(alpha=parse_partition("[1,1]"), gamma=parse_partition("[1]"),
                          refined=True, cutoff=5)
     normalized_amplitude(spec)
@@ -1619,3 +1620,40 @@ def test_series_determinedness_propagation():
     prod2 = series_multiply(full_num, partial)
     assert (0, 2) not in prod2.determined
     assert (1, 1) in prod2.determined
+
+
+def test_series_divide_seeded_bidegrees():
+    # a seed gives quotient bidegrees known beforehand, as the normalized
+    # square-graph series seeds its division with the s = 0 slice: each
+    # counts as determined with the seed's coefficient, a zero one
+    # included, num need not hold it, and the bidegrees above read it
+    quo = KahlerSeries(2, {(0, 0): one, (1, 0): q / (1 - t), (0, 1): t, (1, 1): q * t})
+    den = KahlerSeries(2, {(0, 0): one, (1, 0): t, (0, 1): q / (1 - q), (1, 1): 2 * one})
+    full = series_multiply(quo, den)
+    axis = {(r, 0) for r in range(3)}
+    seed = KahlerSeries(2, {rs: quo.coeffs[rs] for rs in axis if rs in quo.coeffs}, axis)
+    upper = {rs: [c] for rs, c in full.coeffs.items() if rs[1]}
+    upper.update((rs, []) for rs in full.determined if rs[1] and rs not in upper)
+    got = series_divide(upper, den, seed)
+    assert got.determined == full.determined
+    assert got.coeff(2, 0).is_zero() and got.coeff(1, 0) == q / (1 - t)
+    assert got.equal_through(quo, 2) is None
+    # the seed's word holds even against num: num at (1, 0) is not read
+    assert series_divide({**upper, (1, 0): [one]}, den, seed).coeffs == got.coeffs
+    with pytest.raises(ValueError):
+        series_divide(upper, den, KahlerSeries(1, {(0, 0): one}, {(0, 0)}))
+
+
+def test_seeded_division_keeps_undetermined_denominator_bidegrees():
+    # a seeded bidegree is determined even where the denominator is not, but
+    # a computed one that reads an undetermined denominator bidegree is not
+    den = KahlerSeries(2, {(0, 0): one, (0, 1): q},
+                       {(0, 0), (0, 1), (0, 2), (1, 1)})     # (1, 0), (2, 0) unknown
+    axis = {(r, 0) for r in range(3)}
+    seed = KahlerSeries(2, {(0, 0): one, (1, 0): t}, axis)
+    upper = {(0, 1): [q], (1, 1): [t], (0, 2): []}
+    got = series_divide(upper, den, seed)
+    # (1, 1) pulls in den (1, 0); (0, 1) and (0, 2) read determined bidegrees only
+    assert got.determined == axis | {(0, 1), (0, 2)}
+    assert got.coeff(0, 1).is_zero() and got.coeff(0, 2).is_zero()
+    assert not got.is_determined(1, 1)
