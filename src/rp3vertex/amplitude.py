@@ -46,10 +46,13 @@ Conventions fixed here and validated against the display fixtures:
   only; its forms match the one division of every G row wherever the
   tests compare them.
 * There is one table of refined blocks.  The one-parameter mode is the
-  refinement at t = q, taken leaf by leaf before any product: monomials,
-  alphabets, hook products and framings are specialized (and cached) one
-  at a time, because refined numerators are 10-30x larger than the
-  specialized ones and would make specializing after gluing slow.
+  refinement at t = q, taken before any product, because refined
+  numerators are 10-30x larger than the specialized ones: alphabets and
+  monomials are specialized one at a time, and each edge factor, one
+  monomial over one bag of hook steps from one pass over the cells with no
+  ring product, has each exponent specialized once, (a, b) -> (a + b, 0).
+  It prints as the product of its leaves did: that has the same step bag,
+  and a numerator over a fixed step bag is unique.
 * The colors enter each geometry in one place, as Schur values.  On the
   square graph both sit at one alphabet, v = q^-rho t^-nu1':
   E1(alpha,gamma,nu1) = E1(0,0,nu1) s_alpha(v) s_gamma(v), so the
@@ -59,13 +62,13 @@ Conventions fixed here and validated against the display fixtures:
   its refined series leads with (t/q)^|gamma| s_alpha(q^-rho) s_gamma(t^-rho).
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache
 
 from .partitions import EMPTY, Partition, enumerate_up_to, partitions_of
-from .ring import KahlerSeries, RationalFunction, checked_make, series_divide
-from .specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z, principal, skew_schur
-from .vertex import framing_refined, framing_regular
+from .ring import KahlerSeries, Laurent, RationalFunction, checked_make, series_divide
+from .specialize import finite_h, principal, skew_schur
+from .vertex import framing_refined
 
 GEOMETRIES = ("local_p1xp1", "resolved_conifold")
 
@@ -106,33 +109,32 @@ def _schur(lam, main, shift, shift_var, refined):
     return skew_schur(lam, EMPTY, principal(main, shift, shift_var))
 
 
-@cache
-def _tilde_z(nu, first, refined):
-    z = macdonald_tilde_z(nu, first)
-    return z if refined else z.substitute_t_eq_q()
-
-
-@cache
-def _p_at_rho(nu, refined):
-    p = macdonald_p_at_rho(nu)
-    return p if refined else p.substitute_t_eq_q()
-
-
-def _framing(nu, order, refined):
-    """Both parameter orders give framing_regular at t = q."""
-    return framing_refined(nu, order) if refined else framing_regular(nu)
-
-
 # -- edge factors: the trivalent blocks at empty fiber legs -----------------
+
+def _hooks(x, eq, et, c, refined):
+    """c q^(eq/2) t^(et/2) macdonald_tilde_z(x, "t") macdonald_tilde_z(x',
+    "q") in one pass over the cells of x, a cell of x' being one of x with
+    arm and leg exchanged: one monomial over one bag of hook steps, at t = q
+    each specialized once, (a, b) -> (a + b, 0)."""
+    bag = Counter(m if refined else (m[0] + m[1], 0) for a, l in x.arm_legs()
+                  for m in ((2 * a, 2 * l + 2), (2 * a + 2, 2 * l)))
+    return RationalFunction._make(Laurent._of({(eq, et) if refined else (eq + et, 0): c}), bag)
+
+
+def _edge(nu, order, refined):
+    """E1 at empty colors for order (t, q), E2 for (q, t): with x, y = nu, nu'
+    for E1 and nu', nu for E2, the edge's sign and framing times
+    q^((||x||^2 - ||y||^2)/2) t^(||y||^2/2) macdonald_tilde_z(x, "t")
+    macdonald_p_at_rho(y), whose monomial is q^(||y||^2/2)."""
+    ((fq, ft), sign), = framing_refined(nu, order).num.terms.items()
+    x, y = (nu, nu.conjugate()) if order == ("t", "q") else (nu.conjugate(), nu)
+    return _hooks(x, fq + x.norm_sq, ft + y.norm_sq, (-1) ** nu.size * sign, refined)
+
 
 @cache
 def _edge_closed(nu1, refined):
-    """E1 at empty colors: the edge's sign and framing, and the first vertices
-    on both sides."""
-    nu1t = nu1.conjugate()
-    return ((-1) ** nu1.size * _framing(nu1, ("t", "q"), refined)
-            * _mono(nu1.norm_sq - nu1t.norm_sq, nu1t.norm_sq, refined)
-            * _tilde_z(nu1, "t", refined) * _p_at_rho(nu1t, refined))
+    """E1 at empty colors: sign, framing and the first vertices on both sides."""
+    return _edge(nu1, ("t", "q"), refined)
 
 
 def _edge_brane(alpha, gamma, nu1, refined):
@@ -145,10 +147,7 @@ def _edge_brane(alpha, gamma, nu1, refined):
 @cache
 def _edge_plain(nu2, refined):
     """E2: the edge's sign and framing, and the second vertices on both sides."""
-    nu2t = nu2.conjugate()
-    return ((-1) ** nu2.size * _framing(nu2, ("q", "t"), refined)
-            * _mono(nu2t.norm_sq - nu2.norm_sq, nu2.norm_sq, refined)
-            * _tilde_z(nu2t, "t", refined) * _p_at_rho(nu2, refined))
+    return _edge(nu2, ("q", "t"), refined)
 
 
 @cache
@@ -241,15 +240,15 @@ def _open_local(alpha, gamma, refined, cutoff):
 def _conifold(alpha, gamma, refined, cutoff):
     """Single compact edge, no framing; both colors shifted by the conjugate
     edge partition, which reproduces the cross-geometry comparison claims.
-    The term at nu is its color-free edge value times
+    The term at nu is its color-free edge value, (-1)^|nu| q^(||nu||^2/2)
+    t^(||nu'||^2/2) over E1's hook steps, times
     s_alpha(q^-rho t^-nu') s_gamma(t^-rho q^-nu') (t/q)^|gamma|."""
     twist = _mono(-2 * gamma.size, 2 * gamma.size, refined)
     terms = {}
     for nu in enumerate_up_to(cutoff):
         nut = nu.conjugate()
         terms.setdefault((nu.size, 0), []).append(
-            (-1) ** nu.size * _mono(nu.norm_sq, nut.norm_sq, refined)
-            * _tilde_z(nu, "t", refined) * _tilde_z(nut, "q", refined)
+            _hooks(nu, nu.norm_sq, nut.norm_sq, (-1) ** nu.size, refined)
             * _schur(alpha, "q", nut, "t", refined) * _schur(gamma, "t", nut, "q", refined)
             * twist)
     determined = {(r, 0) for r in range(cutoff + 1)}

@@ -66,13 +66,11 @@ class Partition(tuple):
         """All (row, col) cells, 1-based, row-major order."""
         return [(i, j) for i, p in enumerate(self, 1) for j in range(1, p + 1)]
 
-    def arm(self, i, j):
-        """Cells strictly to the right of (i, j) in its row."""
-        return self.part(i) - j
-
-    def leg(self, i, j):
-        """Cells strictly below (i, j) in its column (the transposed arm)."""
-        return sum(1 for p in self[i:] if p >= j)
+    def arm_legs(self):
+        """(arm, leg) of every cell, in the order of `cells`: the cells
+        strictly to its right in its row, and strictly below it in its column."""
+        cols = self.conjugate()
+        return [(p - j, cols[j - 1] - i) for i, p in enumerate(self, 1) for j in range(1, p + 1)]
 
 
 EMPTY = Partition()

@@ -3,14 +3,20 @@ alphabets.
 
 An alphabet here is a finite prefix of monomials followed by an infinite
 geometric tail whose ratio is a pure power of one variable, which keeps
-every complete homogeneous value an exact rational function.
+every complete homogeneous value an exact rational function.  With r the
+tail ratio and s its start, h_m(tail) = s^m / prod_(i<=m) (1 - r^i), so
+h_k = sum_j h_j(prefix) h_(k-j)(tail) is one numerator over the steps
+1 - r^i, i <= k, built on term dicts by the Horner recurrence acc =
+h_k(prefix), acc <- (1 - r^i) acc + h_(k-i)(prefix) s^i for i = 1..k.  The
+split j = 0 has every step, so that bag is the LCM the sum of the splits
+lifts to, and a numerator over a fixed step bag is unique: both print alike.
 
 `complete_homogeneous` and `skew_schur` are memoized with
 `functools.cache`, like every other memo of the package, so
 `cache_clear` empties each of them.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache
 
 from .partitions import EMPTY
@@ -67,23 +73,24 @@ def finite_h(letters, k):
 
 @cache
 def complete_homogeneous(k, alphabet):
-    """h_k of the alphabet, exact; the tail uses the closed geometric form."""
+    """h_k of the alphabet, exact: one numerator over the steps 1 - r^i,
+    i <= k, by the recurrence of the module docstring."""
     if k < 0:
         return RF_ZERO
     if k == 0:
         return RF_ONE
     hs = finite_h(alphabet.prefix, k)
-    sq, st = alphabet.tail_start
-    rq, rt = alphabet.tail_ratio
-    terms = []
-    for j in range(k + 1):
-        if hs[j].is_zero():
-            continue
-        m = k - j
-        num = hs[j].shift(sq * m, st * m)
-        bag = {(rq * i, rt * i): 1 for i in range(1, m + 1)}
-        terms.append(RationalFunction._make(num, bag))
-    return RationalFunction.sum_of(terms)
+    (sq, st), (rq, rt) = alphabet.tail_start, alphabet.tail_ratio
+    acc = dict(hs[k].terms)
+    for i in range(1, k + 1):
+        for (a, b), c in list(acc.items()):
+            e = (a + rq * i, b + rt * i)
+            acc[e] = acc.get(e, 0) - c
+        for (a, b), c in hs[k - i].terms.items():
+            e = (a + sq * i, b + st * i)
+            acc[e] = acc.get(e, 0) + c
+    return RationalFunction._make(Laurent._of({e: c for e, c in acc.items() if c}),
+                                  {(rq * i, rt * i): 1 for i in range(1, k + 1)})
 
 
 @cache
@@ -148,15 +155,8 @@ def macdonald_tilde_z(nu, first="t"):
     second with the row direction (arm); at equal arguments this is the
     plain hook product.
     """
-    bag = {}
-    for (i, j) in nu.cells():
-        a = nu.arm(i, j)
-        l = nu.leg(i, j)
-        if first == "t":
-            e = (2 * a, 2 * (l + 1))      # t^(l+1) q^a
-        else:
-            e = (2 * (l + 1), 2 * a)      # q^(l+1) t^a
-        bag[e] = bag.get(e, 0) + 1
+    bag = Counter((2 * a, 2 * (l + 1)) if first == "t" else (2 * (l + 1), 2 * a)
+                  for a, l in nu.arm_legs())
     return RationalFunction._make(Laurent.const(1), bag)
 
 

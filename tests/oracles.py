@@ -29,25 +29,41 @@ The normalized square-graph series in its former form, one division of
 every G row, the pure-base slice and the pairs of base edges at the
 cutoff included, is the reference for the one that divides the slice as
 A_open / A_closed over the nu1 ensemble and seeds the rest with it.
+The edge factors E1 and E2 in their former form, products of their leaves
+(sign, framing, monomials, hook products, each specialized at t = q on its
+own), are the reference for the one-pass edge factors, and h_k in its
+former form, the sum of its prefix-tail splits over their LCM, the
+reference for the Horner recurrence.
 """
 
 from functools import cache
 
-from rp3vertex.amplitude import (_brane_edges, _framing, _g_rows, _mono, _p_at_rho, _schur,
-                                 _summed, _tilde_z)
+from rp3vertex.amplitude import _brane_edges, _g_rows, _mono, _schur, _summed
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, partitions_of
-from rp3vertex.ring import (L_ONE, RF_ONE, ExpansionError, KahlerSeries, Laurent,
+from rp3vertex.ring import (L_ONE, RF_ONE, RF_ZERO, ExpansionError, KahlerSeries, Laurent,
                             QSeries, RationalFunction, _splits, canonical_series,
                             series_divide)
+from rp3vertex.specialize import finite_h, macdonald_p_at_rho, macdonald_tilde_z
+from rp3vertex.vertex import framing_refined, framing_regular
+
+
+def arm(nu, i, j):
+    """Cells strictly to the right of (i, j) in its row."""
+    return nu.part(i) - j
+
+
+def leg(nu, i, j):
+    """Cells strictly below (i, j) in its column, counted row by row."""
+    return sum(1 for p in nu[i:] if p >= j)
 
 
 def hook(nu, i, j):
-    return nu.arm(i, j) + nu.leg(i, j) + 1
+    return arm(nu, i, j) + leg(nu, i, j) + 1
 
 
 def cell_stats(nu):
     """Map cell -> (arm, leg, hook) over the whole diagram."""
-    return {(i, j): (nu.arm(i, j), nu.leg(i, j), hook(nu, i, j))
+    return {(i, j): (arm(nu, i, j), leg(nu, i, j), hook(nu, i, j))
             for (i, j) in nu.cells()}
 
 
@@ -464,14 +480,76 @@ def schur_tableau_oracle(lam, eta, alphabet, order, letters=None):
     return canonical_series(slices, 2 * order)
 
 
+def reference_complete_homogeneous(k, alphabet):
+    """h_k of the alphabet as the sum of h_j(prefix) h_(k-j)(tail) over j,
+    each tail value s^m / prod_(i<=m) (1 - r^i), lifted to the LCM."""
+    if k < 0:
+        return RF_ZERO
+    if k == 0:
+        return RF_ONE
+    hs = finite_h(alphabet.prefix, k)
+    sq, st = alphabet.tail_start
+    rq, rt = alphabet.tail_ratio
+    terms = []
+    for j in range(k + 1):
+        if hs[j].is_zero():
+            continue
+        m = k - j
+        num = hs[j].shift(sq * m, st * m)
+        bag = {(rq * i, rt * i): 1 for i in range(1, m + 1)}
+        terms.append(RationalFunction._make(num, bag))
+    return RationalFunction.sum_of(terms)
+
+
 # -- the leg-general vertex: displayed-product blocks at any fiber leg -------
+
+@cache
+def tilde_z_leaf(nu, first, refined):
+    z = macdonald_tilde_z(nu, first)
+    return z if refined else z.substitute_t_eq_q()
+
+
+@cache
+def p_at_rho_leaf(nu, refined):
+    p = macdonald_p_at_rho(nu)
+    return p if refined else p.substitute_t_eq_q()
+
+
+def framing_leaf(nu, order, refined):
+    """Both parameter orders give framing_regular at t = q."""
+    return framing_refined(nu, order) if refined else framing_regular(nu)
+
+
+def reference_edge_closed(nu1, refined):
+    """E1 at empty colors as the product of its leaves: sign, framing, edge
+    monomial, first hook product and principal Macdonald value."""
+    nu1t = nu1.conjugate()
+    return ((-1) ** nu1.size * framing_leaf(nu1, ("t", "q"), refined)
+            * _mono(nu1.norm_sq - nu1t.norm_sq, nu1t.norm_sq, refined)
+            * tilde_z_leaf(nu1, "t", refined) * p_at_rho_leaf(nu1t, refined))
+
+
+def reference_edge_plain(nu2, refined):
+    """E2 as the product of its leaves."""
+    nu2t = nu2.conjugate()
+    return ((-1) ** nu2.size * framing_leaf(nu2, ("q", "t"), refined)
+            * _mono(nu2t.norm_sq - nu2.norm_sq, nu2.norm_sq, refined)
+            * tilde_z_leaf(nu2t, "t", refined) * p_at_rho_leaf(nu2, refined))
+
+
+def reference_conifold_edge(nu, refined):
+    """The single edge's color-free value at nu as the product of its leaves."""
+    nut = nu.conjugate()
+    return ((-1) ** nu.size * _mono(nu.norm_sq, nut.norm_sq, refined)
+            * tilde_z_leaf(nu, "t", refined) * tilde_z_leaf(nut, "q", refined))
+
 
 @cache
 def c_brane(lam, alpha, nu1, refined):
     """First vertex on the alpha side: internal fiber leg lam, color alpha."""
     e = alpha.norm_sq + nu1.norm_sq + lam.size - alpha.size
     return (_mono(e, -e + alpha.kappa + nu1.norm_sq, refined)
-            * _tilde_z(nu1, "t", refined)
+            * tilde_z_leaf(nu1, "t", refined)
             * _schur(lam, "t", nu1, "q", refined)
             * _schur(alpha, "q", nu1.conjugate(), "t", refined))
 
@@ -481,7 +559,7 @@ def c_plain(lam, nu2, refined):
     nu2t = nu2.conjugate()
     e = lam.norm_sq + nu2t.norm_sq - lam.size
     return (_mono(e, -e + lam.kappa + nu2t.norm_sq, refined)
-            * _tilde_z(nu2t, "t", refined)
+            * tilde_z_leaf(nu2t, "t", refined)
             * _schur(lam, "q", nu2, "t", refined))
 
 
@@ -491,7 +569,7 @@ def c_brane_g(gamma, beta, nu1, refined):
     nu1t = nu1.conjugate()
     e = beta.norm_sq + nu1t.norm_sq + gamma.size - beta.size
     return (_mono(-e + beta.kappa, e, refined)
-            * _p_at_rho(nu1t, refined)
+            * p_at_rho_leaf(nu1t, refined)
             * _schur(gamma, "q", nu1t, "t", refined)
             * _schur(beta, "t", nu1, "q", refined))
 
@@ -499,7 +577,7 @@ def c_brane_g(gamma, beta, nu1, refined):
 @cache
 def c_plain_g(beta, nu2, refined):
     e = nu2.norm_sq + beta.size
-    return (_mono(-e, e, refined) * _p_at_rho(nu2, refined)
+    return (_mono(-e, e, refined) * p_at_rho_leaf(nu2, refined)
             * _schur(beta, "q", nu2, "t", refined))
 
 
@@ -521,21 +599,21 @@ def reference_open_local(alpha, gamma, refined, cutoff):
             r = nu1.size + nu2.size
             if r > cutoff:
                 continue
-            base = ((-1) ** r * _framing(nu1, ("t", "q"), refined)
-                    * _framing(nu2, ("q", "t"), refined))
+            base = ((-1) ** r * framing_leaf(nu1, ("t", "q"), refined)
+                    * framing_leaf(nu2, ("q", "t"), refined))
             aside, gside = {}, {}
             for lam in parts:
                 if lam.size + r > cutoff:
                     continue
                 tA = (c_brane(lam, alpha, nu1, refined)
-                      * _framing(lam, ("t", "q"), refined)
+                      * framing_leaf(lam, ("t", "q"), refined)
                       * c_plain(lam, nu2, refined))
                 aside.setdefault(lam.size, []).append(tA * (-1) ** lam.size)
             for beta in parts:
                 if beta.size + r > cutoff:
                     continue
                 tG = (c_brane_g(gamma, beta, nu1, refined)
-                      * _framing(beta, ("q", "t"), refined)
+                      * framing_leaf(beta, ("q", "t"), refined)
                       * c_plain_g(beta, nu2, refined))
                 gside.setdefault(beta.size, []).append(tG * (-1) ** beta.size)
             asums = {s: RationalFunction.sum_of(v) for s, v in aside.items()}

@@ -2,14 +2,16 @@ import gc
 
 import pytest
 
+from oracles import reference_conifold_edge, reference_edge_closed, reference_edge_plain
 from rp3vertex import amplitude, partitions, ring, specialize, vertex
 from rp3vertex.amplitude import (GEOMETRIES, AmplitudeSpec, _box_h, _boxes, _cauchy0,
-                                 _closed_rows, _fiber0, _summed, closed_amplitude, normalize,
-                                 normalized_amplitude, open_amplitude)
+                                 _closed_rows, _edge_closed, _edge_plain, _fiber0, _hooks, _summed,
+                                 closed_amplitude, normalize, normalized_amplitude,
+                                 open_amplitude)
 from rp3vertex.partitions import (EMPTY, Partition, enumerate_up_to, parse_partition,
                                   partitions_of)
 from rp3vertex.ring import RF_ONE, RF_ZERO, KahlerSeries, QSeries, RationalFunction
-from rp3vertex.specialize import Alphabet, finite_h, principal, skew_schur
+from rp3vertex.specialize import Alphabet, complete_homogeneous, finite_h, principal, skew_schur
 
 q = RationalFunction.monomial(2, 0)
 t = RationalFunction.monomial(0, 2)
@@ -261,16 +263,64 @@ def test_refined_open_not_symmetric_under_swap():
     assert zhat.swap_qt().equal_through(zhat, 2) is not None
 
 
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_edges_are_the_leaf_products(refined):
+    # term for term and factor for factor, not only as values
+    for nu in enumerate_up_to(8):
+        single = _hooks(nu, nu.norm_sq, nu.conjugate().norm_sq, (-1) ** nu.size, refined)
+        for got, want in ((_edge_closed(nu, refined), reference_edge_closed(nu, refined)),
+                          (_edge_plain(nu, refined), reference_edge_plain(nu, refined)),
+                          (single, reference_conifold_edge(nu, refined))):
+            assert (got.num.terms, got.factors) == (want.num.terms, want.factors), nu
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["regular", "refined"])
+def test_edges_and_h_take_no_ring_products_or_sums(refined, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rf = RationalFunction
+    monkeypatch.setattr(rf, "__mul__", counted("__mul__", rf.__mul__))
+    monkeypatch.setattr(rf, "__rmul__", counted("__rmul__", rf.__rmul__))
+    monkeypatch.setattr(rf, "_map", counted("_map", rf._map))
+    monkeypatch.setattr(rf, "sum_of", staticmethod(counted("sum_of", rf.sum_of)))
+    for module in (amplitude, specialize, vertex):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    for nu in enumerate_up_to(6):
+        _edge_closed(nu, refined)
+        _edge_plain(nu, refined)
+    alphabets = ([principal("t", nu, "q") for nu in enumerate_up_to(3)]
+                 + [principal("q", nu, "t") for nu in enumerate_up_to(3)]
+                 if refined else [principal("q", nu) for nu in enumerate_up_to(3)])
+    for alphabet in alphabets:
+        for k in range(5):
+            complete_homogeneous(k, alphabet)
+    assert calls == []
+    # the wrappers count: a product does reach them
+    assert _edge_closed(BOX, refined) * _edge_plain(BOX, refined) is not None
+    assert calls == ["__mul__"]
+
+
 def test_regular_leaves_are_refined_leaves_at_t_eq_q():
-    from rp3vertex.amplitude import _framing, _mono, _p_at_rho, _schur, _tilde_z
+    from oracles import framing_leaf, p_at_rho_leaf, tilde_z_leaf
+    from rp3vertex.amplitude import _mono, _schur
     from rp3vertex.partitions import enumerate_up_to
     assert _mono(3, -5, False) == _mono(3, -5, True).substitute_t_eq_q()
     for nu in enumerate_up_to(4):
         for first in ("t", "q"):
-            assert _tilde_z(nu, first, False) == _tilde_z(nu, first, True).substitute_t_eq_q()
-        assert _p_at_rho(nu, False) == _p_at_rho(nu, True).substitute_t_eq_q()
+            refined = tilde_z_leaf(nu, first, True)
+            assert tilde_z_leaf(nu, first, False) == refined.substitute_t_eq_q()
+        assert p_at_rho_leaf(nu, False) == p_at_rho_leaf(nu, True).substitute_t_eq_q()
         for order in (("t", "q"), ("q", "t")):
-            assert _framing(nu, order, False) == _framing(nu, order, True).substitute_t_eq_q()
+            refined = framing_leaf(nu, order, True)
+            assert framing_leaf(nu, order, False) == refined.substitute_t_eq_q()
         for lam in enumerate_up_to(3)[1:]:
             for main, var in (("t", "q"), ("q", "t")):
                 got = _schur(lam, main, nu, var, False)

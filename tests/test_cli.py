@@ -292,6 +292,32 @@ def test_deep_compute_json_bytes_pinned(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest() == DEEP_PRINTED_SHA256[flags]
 
 
+# the benchmark's compute invocations, each pinned from cold caches, so that
+# the forms they print are built by the same calls a fresh process makes
+BENCHMARK_PRINTED_SHA256 = {
+    "--refined --cutoff 6 --max-cutoff 6 --alpha [1,1,1] --gamma []":
+        "b4522a5ba089e523fc4f78294e0fd9059523bb89a54a58a88337ffca0e8f2944",
+    "--refined --cutoff 6 --max-cutoff 6 --alpha [3] --gamma []":
+        "40573ebc101105aa1f9d2b1a3e5f116779f0aaa7a82105b9b2232ae673dc7067",
+    "--cutoff 8 --max-cutoff 8 --alpha [1] --gamma [1,1]":
+        "8e5bbd2714fdc3d646826ff3a6fe43947bab0a53a0dc63ddbf50aea5f549d79b",
+    "--cutoff 8 --max-cutoff 8 --alpha [1,1,1] --gamma []":
+        "6681274e56435b3d6d9b1bcbd2e5a3adf98144f3e3db5512aef769b1e6efd571",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(BENCHMARK_PRINTED_SHA256))
+def test_benchmark_compute_json_bytes_pinned_from_cold(capsys, flags):
+    from rp3vertex import amplitude, partitions, ring, specialize, vertex
+    for module in (amplitude, partitions, ring, specialize, vertex):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    code, out = run_cli(capsys, "compute", "--output", "json", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_PRINTED_SHA256[flags]
+
+
 def test_ceiling_override(capsys):
     code, _ = run_cli(capsys, "compute", "--alpha", "[1]", "--cutoff", "5",
                       "--max-cutoff", "5")

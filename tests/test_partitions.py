@@ -77,6 +77,12 @@ def test_brute_force_cell_geometry():
         assert hook == arm + leg + 1
 
 
+def test_arm_legs_are_the_cell_statistics():
+    for nu in enumerate_up_to(8):
+        stats = cell_stats(nu)
+        assert nu.arm_legs() == [stats[c][:2] for c in nu.cells()], nu
+
+
 def test_enumerate_small():
     assert enumerate_up_to(0) == [EMPTY]
     by_size = enumerate_up_to(3)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (OracleTruncationError, alphabet_letter, cell_stats, main_var,
-                     residual_equal, schur_tableau_oracle, subpartitions_within)
+                     reference_complete_homogeneous, residual_equal, schur_tableau_oracle,
+                     subpartitions_within)
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to
 from rp3vertex.ring import RF_ONE, RF_ZERO, Laurent, RationalFunction, expand
 from rp3vertex.specialize import (Alphabet, complete_homogeneous,
@@ -105,6 +108,21 @@ def test_h_closed_form_against_direct_sum():
             de = truncated.prefactor.min_term()[0][0]
             assert pe == de
             assert closed.coeffs.get(qe, {}) == truncated.coeffs.get(qe, {})
+
+
+EXPONENTS = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+TAIL_ALPHABETS = st.builds(
+    Alphabet, st.lists(EXPONENTS, max_size=6), EXPONENTS,
+    st.integers(1, 4).flatmap(lambda r: st.sampled_from([(r, 0), (0, r)])))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 6), TAIL_ALPHABETS)
+def test_h_recurrence_is_the_lcm_sum(k, alphabet):
+    # term for term and factor for factor, not only as values
+    got = complete_homogeneous(k, alphabet)
+    want = reference_complete_homogeneous(k, alphabet)
+    assert (got.num.terms, got.factors) == (want.num.terms, want.factors)
 
 
 def test_skew_schur_examples():

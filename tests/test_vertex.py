@@ -7,15 +7,15 @@ E1 after dividing out the monomial that the blocks attach to its colors.
 
 The one-parameter blocks are written out below as the reference the refined
 blocks must reduce to at t = q, block by block; regular mode computes them
-as that reduction, taken leaf by leaf.  On a fiber leg the blocks, the
+as that reduction, taken before any product.  On a fiber leg the blocks, the
 leg's framing and its sign collapse to the blocks at the empty leg times
 one term of a Cauchy sum, which is what lets the gluing sum the fiber legs
 once for every color."""
 
 import pytest
 
-from oracles import c_brane, c_brane_g, c_plain, c_plain_g, color_monomial
-from rp3vertex.amplitude import _edge_brane, _edge_plain, _framing
+from oracles import c_brane, c_brane_g, c_plain, c_plain_g, color_monomial, framing_leaf
+from rp3vertex.amplitude import _edge_brane, _edge_plain
 from rp3vertex.analysis import CONJECTURE_COLORS
 from rp3vertex.partitions import EMPTY, Partition, enumerate_up_to, parse_partition
 from rp3vertex.ring import RF_ONE, RationalFunction
@@ -181,13 +181,13 @@ def test_edges_are_the_general_blocks_at_empty_legs(refined):
               for a, g in CONJECTURE_COLORS]
     for nu in enumerate_up_to(4 if refined else 5):
         sign = (-1) ** nu.size
-        want = (sign * _framing(nu, ("q", "t"), refined)
+        want = (sign * framing_leaf(nu, ("q", "t"), refined)
                 * c_plain(EMPTY, nu, refined) * c_plain_g(EMPTY, nu, refined))
         got = _edge_plain(nu, refined)
         assert (got.num.terms, got.factors) == (want.num.terms, want.factors), nu
         for alpha, gamma in colors:
             # the blocks carry the color monomial, the edge factor does not
-            want = (sign * _framing(nu, ("t", "q"), refined)
+            want = (sign * framing_leaf(nu, ("t", "q"), refined)
                     * c_brane(EMPTY, alpha, nu, refined)
                     * c_brane_g(gamma, EMPTY, nu, refined)
                     / color_monomial(alpha, gamma, refined))
